@@ -9,20 +9,6 @@ namespace autoscale::serve {
 
 namespace {
 
-// Bucket bounds shared by every device block. These mirror
-// declareServeHistograms / FleetContentionMetrics::resolve exactly;
-// the fleet parity tests byte-compare metrics dumps, so any drift
-// between the two tables fails loudly.
-constexpr std::array<double, 15> kLatencyBoundsMs = {
-    0.5, 1, 2, 5, 10, 20, 33.3, 50, 75, 100, 150, 250, 500, 1000, 2500};
-constexpr std::array<double, 13> kEnergyBoundsMj = {
-    0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000};
-constexpr std::array<double, 9> kQueueDepthBounds = {0.0, 1.0, 2.0, 4.0,
-                                                     8.0, 16.0, 32.0,
-                                                     64.0, 128.0};
-constexpr std::array<double, 8> kDerateBounds = {0.125, 0.25, 0.375, 0.5,
-                                                 0.625, 0.75, 0.875, 1.0};
-
 template <std::size_t N>
 obs::MetricsRegistry::HistogramSnapshot
 toSnapshot(const CompactHistogram<N> &histogram,
@@ -42,6 +28,22 @@ toSnapshot(const CompactHistogram<N> &histogram,
 } // namespace
 
 void
+declareServeHistograms(obs::MetricsRegistry &metrics)
+{
+    const auto &latency = CompactServeMetrics::kLatencyBoundsMs;
+    const auto &energy = CompactServeMetrics::kEnergyBoundsMj;
+    const auto &depth = CompactServeMetrics::kQueueDepthBounds;
+    metrics.declareHistogram("serve.latency_ms",
+                             {latency.begin(), latency.end()});
+    metrics.declareHistogram("serve.wait_ms",
+                             {latency.begin(), latency.end()});
+    metrics.declareHistogram("serve.energy_mj",
+                             {energy.begin(), energy.end()});
+    metrics.declareHistogram("serve.queue_depth",
+                             {depth.begin(), depth.end()});
+}
+
+void
 CompactServeMetrics::recordShed(ServeOutcomeId outcome, int depth)
 {
     ++outcomeCounts_[static_cast<std::size_t>(outcome)];
@@ -55,8 +57,9 @@ CompactServeMetrics::recordServed(sim::TargetCategoryId category,
                                   double waitMs, double latencyMs,
                                   double energyMj, int depth)
 {
-    // Same operation order as FastServeMetrics::recordServed so each
-    // histogram accumulates its (order-sensitive) sum identically.
+    // This operation order is pinned: each histogram's sum is an
+    // order-sensitive fold, and the exported metrics digests in the
+    // tests were recorded with exactly this sequence.
     ++outcomeCounts_[static_cast<std::size_t>(kServed)];
     queueDepth_.observe(kQueueDepthBounds, static_cast<double>(depth));
     ++decisionCounts_[static_cast<std::size_t>(category)];
@@ -118,10 +121,9 @@ CompactServeMetrics::recordFinish(std::int64_t arrivals,
 void
 CompactServeMetrics::flush(obs::MetricsRegistry &parent) const
 {
-    // Counters: the eager five always export (created at zero by the
-    // legacy recorders' constructors); lazily resolved names export
-    // only once hit. counter() creates absent names at zero, so add()
-    // reproduces merge()'s counter fold exactly.
+    // Counters: the eager five always export, even at zero; lazily
+    // exported names only once hit. counter() creates absent names at
+    // zero, so add() reproduces merge()'s counter fold exactly.
     parent.counter("serve.qos_violations").add(qosViolations_);
     parent.counter("serve.degraded").add(degraded_);
     parent.counter("serve.breaker.short_circuits")
@@ -144,7 +146,7 @@ CompactServeMetrics::flush(obs::MetricsRegistry &parent) const
         }
     }
 
-    // Eagerly declared serve.* histograms (exported even untouched).
+    // serve.* histograms (exported even untouched).
     parent.mergeHistogram("serve.latency_ms",
                           toSnapshot(latencyMs_, kLatencyBoundsMs));
     parent.mergeHistogram("serve.wait_ms",
@@ -155,8 +157,8 @@ CompactServeMetrics::flush(obs::MetricsRegistry &parent) const
                           toSnapshot(queueDepth_, kQueueDepthBounds));
 
     // serve.fleet.* only exists once a request touched shared
-    // infrastructure (FleetContentionMetrics::resolve creates all
-    // three names together, brownout_served possibly still zero).
+    // infrastructure; the three names appear together, brownout_served
+    // possibly still zero.
     if (fleetResolved_) {
         parent.mergeHistogram("serve.fleet.edge_wait_ms",
                               toSnapshot(edgeWaitMs_, kLatencyBoundsMs));
@@ -167,7 +169,7 @@ CompactServeMetrics::flush(obs::MetricsRegistry &parent) const
     }
 
     // End-of-run block (DeviceState::finish). Gauges last-write-wins in
-    // flush order, matching the legacy device-index merge order.
+    // flush order (device-index order in a fleet).
     if (finishRecorded_) {
         parent.inc("serve.arrivals", arrivals_);
         parent.inc("serve.breaker.opens", breakerOpens_);

@@ -1,24 +1,24 @@
 /**
  * @file
- * CompactServeMetrics: a pooled, allocation-free per-device metrics
- * block for compact fleets (DESIGN.md §18).
+ * CompactServeMetrics: the serve loop's one metrics recorder
+ * (DESIGN.md §14, §18).
  *
- * The legacy fleet gives every device a private MetricsRegistry (three
- * node-based maps, a mutex, and per-metric string keys — kilobytes per
- * device before the first sample) and merges them into the parent
- * registry in device-index order. This block records the exact same
- * serve-loop metric set into fixed-size arrays, and `flush()` folds it
- * into the parent with the exact merge() semantics:
+ * Every serving device records into its own fixed-size block — dense
+ * outcome/category counter arrays and fixed-bucket histograms, no
+ * strings, no map lookups, no DecisionEvent — and `flush()` folds the
+ * block into a MetricsRegistry with the exact merge() semantics:
  *
- *  - counters add (a lazily created counter exists iff it was hit, so
- *    the exported metric-name set matches the legacy recorders');
- *  - gauges last-write-wins in flush order (== device-index order);
- *  - histogram sums are left-folded per device in observation order and
- *    then across devices in flush order — the same two-level fold the
- *    legacy per-device registries produce.
+ *  - counters add; a lazily exported counter (per-outcome,
+ *    per-category, serve.fleet.*) appears iff it was hit;
+ *  - gauges last-write-wins in flush order;
+ *  - histogram sums are left-folded per device in observation order
+ *    and then across devices in flush order.
  *
- * Flushing every device block in device-index order therefore yields a
- * byte-identical metrics export (tests/test_fleet pins this).
+ * A standalone device (runServe) owns its block and flushes it at the
+ * end of DeviceState::finish(); a fleet pools one block per device and
+ * flushes them in device-index order, so the export is independent of
+ * --shards/--jobs. Nothing reaches the registry before the flush: a
+ * run that dies mid-flight exports no serve.* series.
  */
 
 #ifndef AUTOSCALE_SERVE_COMPACT_METRICS_H_
@@ -75,13 +75,28 @@ struct CompactHistogram {
 };
 
 /**
- * One compact fleet device's complete serve-metrics state. The
- * recording interface mirrors FastServeMetrics (device_loop.cc) call
- * for call, including the operation order inside recordServed, so the
- * per-histogram folds accumulate identically.
+ * One serving device's complete serve-metrics state. recordServed's
+ * operation order is part of the contract: each histogram's sum is an
+ * order-sensitive fold, pinned by the metrics digests in the tests.
  */
 class CompactServeMetrics {
   public:
+    /**
+     * Histogram bucket bounds — the one table for every serve.*
+     * histogram. declareServeHistograms declares from these, and
+     * tests/test_serve pins the latency/energy tables equal to
+     * MetricsRegistry::latencyBucketsMs()/energyBucketsMj().
+     */
+    static constexpr std::array<double, 15> kLatencyBoundsMs = {
+        0.5, 1, 2, 5, 10, 20, 33.3, 50, 75, 100, 150, 250, 500, 1000,
+        2500};
+    static constexpr std::array<double, 13> kEnergyBoundsMj = {
+        0.5, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000};
+    static constexpr std::array<double, 9> kQueueDepthBounds = {
+        0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0};
+    static constexpr std::array<double, 8> kDerateBounds = {
+        0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1.0};
+
     void recordShed(ServeOutcomeId outcome, int depth);
 
     void recordServed(sim::TargetCategoryId category, bool qosViolated,
@@ -89,8 +104,8 @@ class CompactServeMetrics {
                       double waitMs, double latencyMs, double energyMj,
                       int depth);
 
-    /** serve.fleet.* contention series (lazily resolved, like
-     * FleetContentionMetrics: the names only export once touched). */
+    /** serve.fleet.* contention series: the three names export
+     * together, and only once a request touched shared infra. */
     void observeEdgeWait(double waitMs);
     void observeCloud(double derate, bool brownoutHit);
 
@@ -111,9 +126,8 @@ class CompactServeMetrics {
   private:
     // Counter values. The five "eager" counters (qos_violations,
     // degraded, breaker.short_circuits, fault.fallbacks, checkpoints)
-    // always export, even at zero, exactly like the legacy recorders'
-    // constructor-resolved handles; outcome/decision counters export
-    // only once hit (their first hit is what creates them).
+    // always export, even at zero; outcome/decision counters export
+    // only once hit.
     std::int64_t qosViolations_ = 0;
     std::int64_t degraded_ = 0;
     std::int64_t breakerShortCircuits_ = 0;
@@ -122,17 +136,17 @@ class CompactServeMetrics {
     std::array<std::int64_t, kNumServeOutcomes> outcomeCounts_{};
     std::array<std::int64_t, sim::kNumTargetCategories> decisionCounts_{};
 
-    // Eagerly declared serve.* histograms (declareServeHistograms).
-    CompactHistogram<15> latencyMs_;
-    CompactHistogram<15> waitMs_;
-    CompactHistogram<13> energyMj_;
-    CompactHistogram<9> queueDepth_;
+    // serve.* histograms (always exported, even when empty).
+    CompactHistogram<kLatencyBoundsMs.size()> latencyMs_;
+    CompactHistogram<kLatencyBoundsMs.size()> waitMs_;
+    CompactHistogram<kEnergyBoundsMj.size()> energyMj_;
+    CompactHistogram<kQueueDepthBounds.size()> queueDepth_;
 
     // Lazily resolved serve.fleet.* series.
     bool fleetResolved_ = false;
     std::int64_t brownoutServed_ = 0;
-    CompactHistogram<15> edgeWaitMs_;
-    CompactHistogram<8> congestionDerate_;
+    CompactHistogram<kLatencyBoundsMs.size()> edgeWaitMs_;
+    CompactHistogram<kDerateBounds.size()> congestionDerate_;
 
     // End-of-run block (recorded by DeviceState::finish exactly once).
     bool finishRecorded_ = false;

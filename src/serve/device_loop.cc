@@ -1,11 +1,9 @@
 #include "serve/device_loop.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <fstream>
 #include <limits>
-#include <map>
 #include <memory>
 #include <optional>
 
@@ -16,7 +14,6 @@
 #include "dnn/network.h"
 #include "harness/autoscale_policy.h"
 #include "harness/experiment.h"
-#include "obs/metrics_registry.h"
 #include "serve/compact_metrics.h"
 #include "serve/device_state.h"
 #include "sim/batch_engine.h"
@@ -64,263 +61,6 @@ makeServeEvent(const baselines::SchedulingPolicy &policy,
 
 } // namespace
 
-void
-declareServeHistograms(obs::MetricsRegistry &metrics)
-{
-    metrics.declareHistogram("serve.latency_ms",
-                             obs::MetricsRegistry::latencyBucketsMs());
-    metrics.declareHistogram("serve.wait_ms",
-                             obs::MetricsRegistry::latencyBucketsMs());
-    metrics.declareHistogram("serve.energy_mj",
-                             obs::MetricsRegistry::energyBucketsMj());
-    metrics.declareHistogram("serve.queue_depth",
-                             {0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0,
-                              128.0});
-}
-
-/**
- * Per-run serve counter handles. The fixed counters are resolved once
- * at construction and the per-outcome / per-category names memoized on
- * first sight, so the steady-state loop increments through pre-resolved
- * handles with no string building or registry name lookups.
- */
-class ServeMetricsRecorder {
-  public:
-    explicit ServeMetricsRecorder(obs::MetricsRegistry &metrics)
-        : metrics_(metrics),
-          qosViolations_(&metrics.counter("serve.qos_violations")),
-          degraded_(&metrics.counter("serve.degraded")),
-          breakerShortCircuits_(
-              &metrics.counter("serve.breaker.short_circuits")),
-          faultFallbacks_(&metrics.counter("serve.fault.fallbacks")),
-          checkpoints_(&metrics.counter("serve.checkpoints"))
-    {
-    }
-
-    /** Handle for the checkpoint-written counter. */
-    obs::Counter &checkpoints() { return *checkpoints_; }
-
-    void
-    record(const obs::DecisionEvent &event)
-    {
-        counterFor(outcomeCounters_, event.serveOutcome, [&] {
-            return "serve." + event.serveOutcome;
-        }).add();
-        metrics_.observe("serve.queue_depth",
-                         static_cast<double>(event.queueDepth));
-        if (event.serveOutcome != "served") {
-            return;
-        }
-        counterFor(decisionCounters_, event.category, [&] {
-            return "serve.decisions." + obs::metricSlug(event.category);
-        }).add();
-        if (event.qosViolated) {
-            qosViolations_->add();
-        }
-        if (event.degradeLevel > 0) {
-            degraded_->add();
-        }
-        if (event.breakerShortCircuit) {
-            breakerShortCircuits_->add();
-        }
-        if (event.faultFallback) {
-            faultFallbacks_->add();
-        }
-        metrics_.observe("serve.wait_ms", event.queueWaitMs);
-        metrics_.observe("serve.latency_ms", event.latencyMs);
-        metrics_.observe("serve.energy_mj", event.energyJ * 1e3);
-    }
-
-  private:
-    /** Memoized handle; @p makeName runs only on first sight of key. */
-    template <typename NameFn>
-    obs::Counter &
-    counterFor(std::map<std::string, obs::Counter *> &memo,
-               const std::string &key, NameFn &&makeName)
-    {
-        const auto it = memo.find(key);
-        if (it != memo.end()) {
-            return *it->second;
-        }
-        obs::Counter &counter = metrics_.counter(makeName());
-        memo.emplace(key, &counter);
-        return counter;
-    }
-
-    obs::MetricsRegistry &metrics_;
-    obs::Counter *qosViolations_;
-    obs::Counter *degraded_;
-    obs::Counter *breakerShortCircuits_;
-    obs::Counter *faultFallbacks_;
-    obs::Counter *checkpoints_;
-    std::map<std::string, obs::Counter *> outcomeCounters_;
-    std::map<std::string, obs::Counter *> decisionCounters_;
-};
-
-/**
- * Allocation-free serve metrics recorder for the batched path. Where
- * ServeMetricsRecorder keys its memos by strings taken from a built
- * DecisionEvent, this recorder is indexed by dense outcome/category
- * ids through pre-resolved Counter and HistogramHandle handles, so a
- * metering-only run records a served request with no DecisionEvent,
- * no string building, and no map lookup.
- *
- * Parity: the per-outcome and per-category counters are still resolved
- * lazily, on first hit, so the *set* of exported metric names — and
- * therefore the metrics dump — is byte-identical to the scalar
- * recorder's (a counter that was never incremented must not appear).
- */
-class FastServeMetrics {
-  public:
-    explicit FastServeMetrics(obs::MetricsRegistry &metrics)
-        : metrics_(metrics),
-          qosViolations_(&metrics.counter("serve.qos_violations")),
-          degraded_(&metrics.counter("serve.degraded")),
-          breakerShortCircuits_(
-              &metrics.counter("serve.breaker.short_circuits")),
-          faultFallbacks_(&metrics.counter("serve.fault.fallbacks")),
-          checkpoints_(&metrics.counter("serve.checkpoints")),
-          queueDepth_(metrics.histogramHandle("serve.queue_depth")),
-          waitMs_(metrics.histogramHandle("serve.wait_ms")),
-          latencyMs_(metrics.histogramHandle("serve.latency_ms")),
-          energyMj_(metrics.histogramHandle("serve.energy_mj"))
-    {
-        outcomeCounters_.fill(nullptr);
-        decisionCounters_.fill(nullptr);
-    }
-
-    /** Handle for the checkpoint-written counter. */
-    obs::Counter &checkpoints() { return *checkpoints_; }
-
-    void
-    recordShed(ServeOutcomeId outcome, int depth)
-    {
-        outcomeCounter(outcome).add();
-        queueDepth_.observe(static_cast<double>(depth));
-    }
-
-    void
-    recordServed(sim::TargetCategoryId category, bool qosViolated,
-                 bool degraded, bool shortCircuit, bool faultFallback,
-                 double waitMs, double latencyMs, double energyMj,
-                 int depth)
-    {
-        // Same operation order as ServeMetricsRecorder::record so each
-        // histogram accumulates its (order-sensitive) sum identically.
-        outcomeCounter(kServed).add();
-        queueDepth_.observe(static_cast<double>(depth));
-        decisionCounter(category).add();
-        if (qosViolated) {
-            qosViolations_->add();
-        }
-        if (degraded) {
-            degraded_->add();
-        }
-        if (shortCircuit) {
-            breakerShortCircuits_->add();
-        }
-        if (faultFallback) {
-            faultFallbacks_->add();
-        }
-        waitMs_.observe(waitMs);
-        latencyMs_.observe(latencyMs);
-        energyMj_.observe(energyMj);
-    }
-
-  private:
-    obs::Counter &
-    outcomeCounter(ServeOutcomeId outcome)
-    {
-        const auto index = static_cast<std::size_t>(outcome);
-        if (outcomeCounters_[index] == nullptr) {
-            outcomeCounters_[index] = &metrics_.counter(
-                std::string("serve.") + kServeOutcomeNames[index]);
-        }
-        return *outcomeCounters_[index];
-    }
-
-    obs::Counter &
-    decisionCounter(sim::TargetCategoryId category)
-    {
-        const auto index = static_cast<std::size_t>(category);
-        AS_CHECK(index < decisionCounters_.size());
-        if (decisionCounters_[index] == nullptr) {
-            decisionCounters_[index] = &metrics_.counter(
-                "serve.decisions."
-                + obs::metricSlug(sim::targetCategoryName(category)));
-        }
-        return *decisionCounters_[index];
-    }
-
-    obs::MetricsRegistry &metrics_;
-    obs::Counter *qosViolations_;
-    obs::Counter *degraded_;
-    obs::Counter *breakerShortCircuits_;
-    obs::Counter *faultFallbacks_;
-    obs::Counter *checkpoints_;
-    obs::HistogramHandle queueDepth_;
-    obs::HistogramHandle waitMs_;
-    obs::HistogramHandle latencyMs_;
-    obs::HistogramHandle energyMj_;
-    std::array<obs::Counter *, kNumServeOutcomes> outcomeCounters_;
-    std::array<obs::Counter *, sim::kNumTargetCategories>
-        decisionCounters_;
-};
-
-/**
- * Fleet-mode contention metrics (serve.fleet.*), recorded by both the
- * scalar and batched paths so --batch 0 fleets meter identically.
- * Declaration is lazy — the serve.fleet.* series only appear once a
- * request actually touched shared infrastructure, so an uncontended
- * fleet (or a fleet of one) exports the exact pre-fleet metric-name
- * set.
- */
-struct FleetContentionMetrics {
-    explicit FleetContentionMetrics(obs::MetricsRegistry &metrics_in)
-        : metrics(&metrics_in)
-    {
-    }
-
-    void
-    observeEdgeWait(double waitMs)
-    {
-        resolve();
-        edgeWaitMs.observe(waitMs);
-    }
-
-    void
-    observeCloud(double derateValue, bool brownoutHit)
-    {
-        resolve();
-        derate.observe(derateValue);
-        if (brownoutHit) {
-            brownoutServed->add();
-        }
-    }
-
-private:
-    void
-    resolve()
-    {
-        if (brownoutServed != nullptr) {
-            return;
-        }
-        metrics->declareHistogram("serve.fleet.edge_wait_ms",
-                                  obs::MetricsRegistry::latencyBucketsMs());
-        metrics->declareHistogram("serve.fleet.congestion_derate",
-                                  {0.125, 0.25, 0.375, 0.5, 0.625, 0.75,
-                                   0.875, 1.0});
-        edgeWaitMs = metrics->histogramHandle("serve.fleet.edge_wait_ms");
-        derate = metrics->histogramHandle("serve.fleet.congestion_derate");
-        brownoutServed = &metrics->counter("serve.fleet.brownout_served");
-    }
-
-    obs::MetricsRegistry *metrics;
-    obs::HistogramHandle edgeWaitMs;
-    obs::HistogramHandle derate;
-    obs::Counter *brownoutServed = nullptr;
-};
-
 DevicePlan
 makeDevicePlan(const sim::InferenceSimulator &sim,
                const ServeConfig &config)
@@ -362,6 +102,10 @@ DeviceState::DeviceState(const sim::InferenceSimulator &sim_in,
       obs(obs_in), deviceId(deviceId_in)
 {
     plan = planOwner.get();
+    if (obs.metering()) {
+        ownedBlock = std::make_unique<CompactServeMetrics>();
+        block = ownedBlock.get();
+    }
     init(config().seed, warmStart, nullptr);
 }
 
@@ -512,24 +256,8 @@ DeviceState::init(std::uint64_t seed,
     probeRetry.maxRetries = 0;
 
     // Batched (SoA gather/commit) vs scalar reference dispatch. Both
-    // paths produce byte-identical output (DESIGN.md §14); the batched
-    // path records through dense pre-resolved handles and skips
-    // DecisionEvent construction entirely when only metering is on.
+    // paths produce byte-identical output (DESIGN.md §14).
     batched = config().batchSize >= 1;
-
-    if (obs.metering()) {
-        declareServeHistograms(*obs.metrics);
-        if (batched) {
-            fastMetrics = std::make_unique<FastServeMetrics>(*obs.metrics);
-        } else {
-            serveMetrics =
-                std::make_unique<ServeMetricsRecorder>(*obs.metrics);
-        }
-        if (deviceId >= 0) {
-            fleetMetrics =
-                std::make_unique<FleetContentionMetrics>(*obs.metrics);
-        }
-    }
     if (batched) {
         if (sharedEngine != nullptr) {
             engine = sharedEngine;
@@ -560,12 +288,6 @@ DeviceState::checkpointNow()
         fatal("serve: checkpoint failed: " + error);
     }
     stats.checkpointsWritten = manager->written();
-    if (serveMetrics) {
-        serveMetrics->checkpoints().add();
-    }
-    if (fastMetrics) {
-        fastMetrics->checkpoints().add();
-    }
     if (block != nullptr) {
         block->recordCheckpoint();
     }
@@ -575,13 +297,10 @@ void
 DeviceState::recordShed(const Workload &workload, ServeOutcomeId outcome,
                         int depth)
 {
-    if (fastMetrics) {
-        fastMetrics->recordShed(outcome, depth);
-    }
     if (block != nullptr) {
         block->recordShed(outcome, depth);
     }
-    if (!serveMetrics && !obs.tracing()) {
+    if (!obs.tracing()) {
         return;
     }
     obs::DecisionEvent event = makeServeEvent(
@@ -604,12 +323,7 @@ DeviceState::recordShed(const Workload &workload, ServeOutcomeId outcome,
             event.edgeOutage = shared->edgeOutage;
         }
     }
-    if (serveMetrics) {
-        serveMetrics->record(event);
-    }
-    if (obs.tracing()) {
-        obs.trace->record(std::move(event));
-    }
+    obs.trace->record(std::move(event));
 }
 
 // Admit every arrival at or before the current virtual time.
@@ -766,9 +480,6 @@ DeviceState::commitRequest(const QueuedRequest &queued, int degradeLevel,
             usage.edgeBusyMs += serviceMs;
             ++usage.edgeJobs;
             serviceMs += edgeWaitMs;
-            if (fleetMetrics) {
-                fleetMetrics->observeEdgeWait(edgeWaitMs);
-            }
             if (block != nullptr) {
                 block->observeEdgeWait(edgeWaitMs);
             }
@@ -784,9 +495,6 @@ DeviceState::commitRequest(const QueuedRequest &queued, int degradeLevel,
             }
             usage.cloudBusyMs += serviceMs;
             ++usage.cloudJobs;
-            if (fleetMetrics) {
-                fleetMetrics->observeCloud(derate, brownoutHit);
-            }
             if (block != nullptr) {
                 block->observeCloud(derate, brownoutHit);
             }
@@ -814,27 +522,17 @@ DeviceState::commitRequest(const QueuedRequest &queued, int degradeLevel,
         || measured.accuracyPct < workload.request.accuracyTargetPct) {
         ++stats.accuracyViolations;
     }
-    if (batchEngine != nullptr) {
-        ++categoryTally[static_cast<std::size_t>(decision.categoryId())];
-    } else {
-        ++stats.categoryCounts[decision.category()];
-    }
+    ++categoryTally[static_cast<std::size_t>(decision.categoryId())];
     ewmaServiceMs = (1.0 - kServiceEwmaAlpha) * ewmaServiceMs
         + kServiceEwmaAlpha * serviceMs;
 
-    if (fastMetrics) {
-        fastMetrics->recordServed(
-            decision.categoryId(), qosViolated, degraded, shortCircuited,
-            faultResult.fellBack, waitMs, latencyMs,
-            measured.energyJ * 1e3, depthAtDequeue);
-    }
     if (block != nullptr) {
         block->recordServed(
             decision.categoryId(), qosViolated, degraded, shortCircuited,
             faultResult.fellBack, waitMs, latencyMs,
             measured.energyJ * 1e3, depthAtDequeue);
     }
-    if (serveMetrics || obs.tracing()) {
+    if (obs.tracing()) {
         obs::DecisionEvent event = makeServeEvent(
             *policy, workload, scenario->name(), "served", depthAtDequeue,
             stats.checkpointsWritten);
@@ -880,12 +578,7 @@ DeviceState::commitRequest(const QueuedRequest &queued, int degradeLevel,
             }
         }
         policy->describeLastDecision(event);
-        if (serveMetrics) {
-            serveMetrics->record(event);
-        }
-        if (obs.tracing()) {
-            obs.trace->record(std::move(event));
-        }
+        obs.trace->record(std::move(event));
     }
 
     clockMs = finishMs;
@@ -994,8 +687,8 @@ DeviceState::advance(double untilMs)
 
 // Churn: discard every queued request (the device's volatile in-flight
 // state). Runs at an epoch barrier, single-threaded, so the shed
-// records land in the device's private sinks in a shard-independent
-// order.
+// records land in the device's metrics block and trace stream in a
+// shard-independent order.
 std::int64_t
 DeviceState::discardQueue(std::int64_t atEpoch)
 {
@@ -1053,9 +746,9 @@ DeviceState::finish()
     AS_CHECK(!finished);
     finished = true;
 
-    // Fold the batched path's dense tally into the report's name-keyed
-    // map. Zero-count categories are skipped, matching the scalar map,
-    // which only creates keys it increments.
+    // Fold the dense category tally into the report's name-keyed map.
+    // Zero-count categories are skipped: the map only holds categories
+    // that were served.
     for (std::size_t i = 0; i < categoryTally.size(); ++i) {
         if (categoryTally[i] > 0) {
             stats.categoryCounts[sim::targetCategoryName(
@@ -1089,19 +782,6 @@ DeviceState::finish()
         stats.wlanBreaker.shortCircuits + stats.p2pBreaker.shortCircuits;
     stats.endClockMs = clockMs;
 
-    if (obs.metering()) {
-        obs.metrics->inc("serve.arrivals", stats.arrivals);
-        obs.metrics->inc("serve.breaker.opens",
-                         stats.wlanBreaker.opens + stats.p2pBreaker.opens);
-        obs.metrics->inc("serve.breaker.probes",
-                         stats.wlanBreaker.probes
-                             + stats.p2pBreaker.probes);
-        obs.metrics->set("serve.max_queue_depth",
-                         static_cast<double>(stats.maxQueueDepth));
-        obs.metrics->set("serve.breaker.open_ms",
-                         stats.wlanBreaker.totalOpenMs
-                             + stats.p2pBreaker.totalOpenMs);
-    }
     if (block != nullptr) {
         block->recordFinish(
             stats.arrivals,
@@ -1109,6 +789,9 @@ DeviceState::finish()
             stats.wlanBreaker.probes + stats.p2pBreaker.probes,
             static_cast<double>(stats.maxQueueDepth),
             stats.wlanBreaker.totalOpenMs + stats.p2pBreaker.totalOpenMs);
+    }
+    if (ownedBlock) {
+        ownedBlock->flush(*obs.metrics);
     }
     return std::move(stats);
 }

@@ -41,22 +41,22 @@ struct DeviceState;
 /**
  * One device's serving loop, advanceable in virtual-time slices.
  *
- * Since DESIGN.md §18 this is a thin view over a DeviceState record:
- * standalone construction owns a private record (pre-§18 semantics,
- * byte for byte), while a compact fleet stores its records in one
- * contiguous array and hands each loop a non-owning pointer. Either
- * way the loop body is the same code over the same state.
+ * A thin view over a DeviceState record (DESIGN.md §18): standalone
+ * construction owns a private record, while a fleet stores all its
+ * records in one contiguous array and hands each loop a non-owning
+ * pointer. Either way the loop body is the same code over the same
+ * state.
  */
 class DeviceLoop {
   public:
     /**
      * @param sim Shared read-only simulator (outlives the loop).
      * @param config Per-device serving configuration (seed included).
-     * @param obs Sinks this device records into. In a fleet these are
-     *        device-private and merged in device-index order.
+     * @param obs Sinks this device records into: trace events as they
+     *        happen, metrics from its own block when finish() runs.
      * @param deviceId Fleet device index; -1 (the default) means
-     *        "not a fleet member": no fleet trace fields, no fleet
-     *        metrics, byte-identical to the pre-fleet serving loop.
+     *        "not a fleet member": no fleet trace fields,
+     *        byte-identical to the pre-fleet serving loop.
      * @param warmStart Non-null: skip this device's own Q-table
      *        provenance (checkpoint/--qtable/pre-training) and seed the
      *        learner from an already-trained scheduler instead (the

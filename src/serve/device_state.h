@@ -1,6 +1,7 @@
 /**
  * @file
- * Compact fleet device representation (DESIGN.md §18).
+ * Serving device representation: one shared plan, one record per
+ * device (DESIGN.md §18).
  *
  * A million-device fleet cannot afford one heap-allocated pimpl, one
  * copy of the serving configuration, and one resolved workload table
@@ -57,9 +58,6 @@ class BatchDecisionEngine;
 
 namespace autoscale::serve {
 
-class ServeMetricsRecorder;
-class FastServeMetrics;
-struct FleetContentionMetrics;
 class CompactServeMetrics;
 
 /** One zoo workload the serving mix can draw. */
@@ -71,9 +69,8 @@ struct Workload {
 };
 
 /**
- * Dense serve-outcome ids: array indices for the allocation-free
- * metrics recorders (the string names feed trace events and lazy
- * counter creation only).
+ * Dense serve-outcome ids: array indices for CompactServeMetrics (the
+ * string names feed trace events and counter names only).
  */
 enum ServeOutcomeId : int {
     kServed = 0,
@@ -88,7 +85,11 @@ constexpr std::array<const char *, kNumServeOutcomes> kServeOutcomeNames =
     {"served", "shed_overflow", "shed_deadline", "shed_stale",
      "shed_churn"};
 
-/** Declare the serve.* histograms every metered serving run exports. */
+/**
+ * Declare the serve.* histograms every metered serving run exports,
+ * with CompactServeMetrics' bucket bounds (the recorder itself creates
+ * them at flush; this is for callers that want them up front).
+ */
 void declareServeHistograms(obs::MetricsRegistry &metrics);
 
 /**
@@ -123,8 +124,9 @@ DevicePlan makeDevicePlan(const sim::InferenceSimulator &sim,
 struct DeviceState {
     /**
      * Standalone device: builds and owns a private plan from
-     * @p config (workload mix, floors) and seeds from config.seed.
-     * Byte-identical to the pre-§18 per-device construction.
+     * @p config (workload mix, floors), seeds from config.seed, and
+     * owns its engine and (when metering) its metrics block, which
+     * finish() flushes into obs.metrics.
      */
     DeviceState(const sim::InferenceSimulator &sim,
                 const ServeConfig &config, const obs::ObsContext &obs,
@@ -137,6 +139,8 @@ struct DeviceState {
      * non-null, is a shard-shared batch decision engine (its gather
      * state is per-tick, and devices within a shard run sequentially,
      * so sharing is output-identical); null makes the device own one.
+     * The caller points `block` at a pooled metrics block and flushes
+     * it; obs.metrics is not used.
      */
     DeviceState(const DevicePlan &plan, const obs::ObsContext &obs,
                 int deviceId, std::uint64_t seed,
@@ -184,11 +188,7 @@ struct DeviceState {
     Rng execRng;
     Rng workloadRng;
 
-    /**
-     * Decision policy: owned by this device on the standalone path;
-     * fleets may point peer devices at per-shard shared fixed
-     * policies instead (ownedPolicy stays null).
-     */
+    /** Decision policy (owned; learner is set for AutoScale). */
     baselines::SchedulingPolicy *policy = nullptr;
     std::unique_ptr<baselines::SchedulingPolicy> ownedPolicy;
     harness::AutoScalePolicy *learner = nullptr;
@@ -203,21 +203,19 @@ struct DeviceState {
     fault::RetryPolicy probeRetry;
 
     bool batched = false;
-    std::unique_ptr<ServeMetricsRecorder> serveMetrics;
-    std::unique_ptr<FastServeMetrics> fastMetrics;
-    std::unique_ptr<FleetContentionMetrics> fleetMetrics;
     /**
-     * Pooled per-device metrics block (compact fleets): dense counter
-     * slabs flushed into the parent registry in device-index order at
-     * the end of the run. Null outside compact fleet mode; exactly one
-     * of {serveMetrics, fastMetrics, block} records a given device.
+     * This device's metrics recorder; null when metering is off. A
+     * standalone device owns it (ownedBlock) and flushes it at the end
+     * of finish(); a fleet pools one per device and flushes them in
+     * device-index order.
      */
     CompactServeMetrics *block = nullptr;
+    std::unique_ptr<CompactServeMetrics> ownedBlock;
 
     /**
-     * Batch decision engine: owned on the standalone path; compact
-     * fleets share one per shard (its state is per-tick, so sharing
-     * is output-identical).
+     * Batch decision engine: owned on the standalone path; fleets
+     * share one per shard (its state is per-tick, so sharing is
+     * output-identical).
      */
     sim::BatchDecisionEngine *engine = nullptr;
     std::unique_ptr<sim::BatchDecisionEngine> ownedEngine;

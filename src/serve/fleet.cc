@@ -270,7 +270,6 @@ runFleet(const sim::InferenceSimulator &sim, const FleetConfig &config,
     }
     const int jobs =
         config.jobs > 0 ? config.jobs : harness::defaultJobs();
-    const bool compact = config.compactDevices && n > 1;
     const std::size_t shards =
         std::min(n, static_cast<std::size_t>(config.shards));
     const std::size_t perShard = (n + shards - 1) / shards;
@@ -279,62 +278,33 @@ runFleet(const sim::InferenceSimulator &sim, const FleetConfig &config,
 
     // --- Observability sinks. Devices record concurrently; the parent
     // sinks receive an index-ordered flush after the run, so exported
-    // bytes never depend on shards/jobs. Legacy representation: one
-    // private TraceRecorder + MetricsRegistry per device. Compact
-    // representation (DESIGN.md §18): device 0 keeps private sinks;
-    // peers share one trace recorder per shard (a stable sort by
-    // device id at flush restores per-device order) and record
-    // metrics into pooled CompactServeMetrics blocks flushed in
-    // device-index order. Nothing is allocated when observability is
-    // off. ---
-    std::vector<std::unique_ptr<obs::TraceRecorder>> traces;
-    std::vector<std::unique_ptr<obs::MetricsRegistry>> registries;
+    // bytes never depend on shards/jobs (DESIGN.md §18): one trace
+    // buffer per shard (a stable sort by device id at flush restores
+    // per-device order) and one pooled CompactServeMetrics block per
+    // device, flushed in device-index order. Nothing is allocated when
+    // observability is off. ---
     std::vector<obs::TraceRecorder> shardTraces;
     std::vector<CompactServeMetrics> blocks;
     if (obs.tracing()) {
-        traces.reserve(compact ? 1 : n);
-        if (compact) {
-            shardTraces.assign(shards, obs::TraceRecorder(true));
-        }
+        shardTraces.assign(shards, obs::TraceRecorder(true));
     }
     if (obs.metering()) {
-        registries.reserve(compact ? 1 : n);
-        if (compact) {
-            blocks.resize(n); // [0] unused: device 0 records privately.
-        }
+        blocks.resize(n);
     }
-    // Private sinks for one device (every device on the legacy path,
-    // device 0 on the compact path).
-    auto makePrivateObs = [&]() {
-        obs::ObsContext context;
-        if (obs.tracing()) {
-            traces.push_back(std::make_unique<obs::TraceRecorder>(true));
-            context.trace = traces.back().get();
-        }
-        if (obs.metering()) {
-            registries.push_back(std::make_unique<obs::MetricsRegistry>());
-            context.metrics = registries.back().get();
-        }
-        return context;
-    };
 
-    // --- Devices. Device 0 follows the full single-device Q-table
-    // provenance (checkpoint > --qtable > pre-training); its trained
-    // scheduler warm-starts every peer, whose seed is the pure function
-    // replicateSeed(master, i). ---
     // A multi-device fleet owns its checkpoint path at the fleet level
-    // (the epoch-barrier manifest, fleet_checkpoint.h); device 0 must
-    // not also run the single-device per-request checkpointer against
-    // the same file. A fleet of one keeps the single-device semantics.
+    // (the epoch-barrier manifest, fleet_checkpoint.h); no device may
+    // also run the single-device per-request checkpointer against the
+    // same file. A fleet of one keeps the single-device semantics.
     FleetStats stats;
     std::optional<FleetCheckpointManager> fleetCheckpoint;
     std::int64_t resumeEpoch = -1;
     std::uint64_t resumeStateDigest = 0;
     const std::uint64_t configDigest = fleetConfigDigest(config);
-    ServeConfig deviceZero = config.serve;
+    ServeConfig deviceConfig = config.serve;
     if (n > 1 && !config.serve.checkpointPath.empty()) {
-        deviceZero.checkpointPath.clear();
-        deviceZero.resume = false;
+        deviceConfig.checkpointPath.clear();
+        deviceConfig.resume = false;
         fleetCheckpoint.emplace(config.serve.checkpointPath);
         if (config.serve.resume) {
             FleetManifestLoadResult loaded = fleetCheckpoint->load();
@@ -359,62 +329,47 @@ runFleet(const sim::InferenceSimulator &sim, const FleetConfig &config,
         }
     }
 
+    // --- Devices (DESIGN.md §18): one immutable plan shared by every
+    // device, one contiguous record array (reserved up front — the
+    // DeviceLoop views hold stable pointers into it), and one batch
+    // decision engine per shard (its gather state is per-tick and
+    // devices within a shard run sequentially, so sharing is
+    // output-identical). Device 0 keeps the master seed and runs the
+    // Q-table provenance (checkpoint > --qtable > pre-training); every
+    // peer i warm-starts from its table with seed
+    // replicateSeed(master, i). ---
+    const DevicePlan plan = makeDevicePlan(sim, deviceConfig);
+    std::vector<std::unique_ptr<sim::BatchDecisionEngine>> shardEngines;
+    if (deviceConfig.batchSize >= 1) {
+        shardEngines.reserve(shards);
+        for (std::size_t s = 0; s < shards; ++s) {
+            shardEngines.push_back(std::make_unique<sim::BatchDecisionEngine>(
+                sim, static_cast<std::size_t>(deviceConfig.batchSize)));
+        }
+    }
+    std::vector<DeviceState> records;
+    records.reserve(n);
     std::vector<DeviceLoop> devices;
     devices.reserve(n);
-    devices.emplace_back(sim, deviceZero, makePrivateObs(), 0);
-    const core::AutoScaleScheduler *warm = devices[0].scheduler();
-
-    // Peer config template: Q-table provenance cleared (peers warm
-    // start from device 0's trained table; checkpointing is device-0 /
-    // fleet-manifest territory).
-    ServeConfig peerTemplate = config.serve;
-    peerTemplate.checkpointPath.clear();
-    peerTemplate.resume = false;
-    peerTemplate.qtablePath.clear();
-
-    // Compact fleet storage (DESIGN.md §18): one immutable plan shared
-    // by every peer, one contiguous record array (reserved up front —
-    // the DeviceLoop views hold stable pointers into it), and one
-    // batch decision engine per shard (its gather state is per-tick
-    // and devices within a shard run sequentially, so sharing is
-    // output-identical). All empty on the legacy path.
-    std::optional<DevicePlan> peerPlan;
-    std::vector<DeviceState> records;
-    std::vector<std::unique_ptr<sim::BatchDecisionEngine>> shardEngines;
-    if (compact) {
-        peerPlan.emplace(makeDevicePlan(sim, peerTemplate));
-        records.reserve(n - 1);
-        if (peerTemplate.batchSize >= 1) {
-            shardEngines.reserve(shards);
-            for (std::size_t s = 0; s < shards; ++s) {
-                shardEngines.push_back(
-                    std::make_unique<sim::BatchDecisionEngine>(
-                        sim, static_cast<std::size_t>(
-                                 peerTemplate.batchSize)));
-            }
+    const core::AutoScaleScheduler *warm = nullptr;
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t shard = i / perShard;
+        obs::ObsContext deviceObs;
+        if (obs.tracing()) {
+            deviceObs.trace = &shardTraces[shard];
         }
-        for (std::size_t i = 1; i < n; ++i) {
-            const std::size_t shard = i / perShard;
-            obs::ObsContext peerObs;
-            if (obs.tracing()) {
-                peerObs.trace = &shardTraces[shard];
-            }
-            records.emplace_back(
-                *peerPlan, peerObs, static_cast<int>(i),
-                harness::replicateSeed(config.serve.seed, i), warm,
-                shardEngines.empty() ? nullptr
-                                     : shardEngines[shard].get());
-            if (obs.metering()) {
-                records.back().block = &blocks[i];
-            }
-            devices.emplace_back(&records.back());
+        records.emplace_back(
+            plan, deviceObs, static_cast<int>(i),
+            i == 0 ? config.serve.seed
+                   : harness::replicateSeed(config.serve.seed, i),
+            warm,
+            shardEngines.empty() ? nullptr : shardEngines[shard].get());
+        if (obs.metering()) {
+            records.back().block = &blocks[i];
         }
-    } else {
-        for (std::size_t i = 1; i < n; ++i) {
-            ServeConfig peer = peerTemplate;
-            peer.seed = harness::replicateSeed(config.serve.seed, i);
-            devices.emplace_back(sim, peer, makePrivateObs(),
-                                 static_cast<int>(i), warm);
+        devices.emplace_back(&records.back());
+        if (i == 0) {
+            warm = devices[0].scheduler();
         }
     }
 
@@ -621,10 +576,9 @@ runFleet(const sim::InferenceSimulator &sim, const FleetConfig &config,
               + "; the manifest does not belong to this configuration");
     }
 
-    // --- Finalize and flush in device-index order. The checksum folds
-    // the same per-device values in the same order as the legacy
-    // post-loop computation; aggregate mode merely skips storing the
-    // per-device ServeStats it was computed from. ---
+    // --- Finalize and flush in device-index order. Aggregate mode
+    // folds the same per-device values into the same checksum; it
+    // merely skips storing the per-device ServeStats. ---
     if (!config.aggregateStats) {
         stats.devices.reserve(n);
     }
@@ -658,42 +612,24 @@ runFleet(const sim::InferenceSimulator &sim, const FleetConfig &config,
     stats.checksum = checksum;
 
     if (obs.tracing()) {
-        obs.trace->append(*traces[0]);
-        if (compact) {
-            // A shard buffer interleaves its devices' events; a stable
-            // sort by device id restores each device's private record
-            // order, and shards cover contiguous ascending device
-            // ranges, so the flushed sequence is byte-identical to
-            // per-device recorders appended in index order.
-            for (obs::TraceRecorder &shardTrace : shardTraces) {
-                std::vector<obs::DecisionEvent> events =
-                    shardTrace.snapshot();
-                std::stable_sort(events.begin(), events.end(),
-                                 [](const obs::DecisionEvent &a,
-                                    const obs::DecisionEvent &b) {
-                                     return a.deviceId < b.deviceId;
-                                 });
-                for (obs::DecisionEvent &event : events) {
-                    obs.trace->record(std::move(event));
-                }
-            }
-        } else {
-            for (std::size_t i = 1; i < n; ++i) {
-                obs.trace->append(*traces[i]);
+        // A shard buffer interleaves its devices' events; a stable sort
+        // by device id restores each device's record order, and shards
+        // cover contiguous ascending device ranges, so the flushed
+        // sequence is per-device streams appended in index order.
+        for (obs::TraceRecorder &shardTrace : shardTraces) {
+            std::vector<obs::DecisionEvent> events = shardTrace.snapshot();
+            std::stable_sort(events.begin(), events.end(),
+                             [](const obs::DecisionEvent &a,
+                                const obs::DecisionEvent &b) {
+                                 return a.deviceId < b.deviceId;
+                             });
+            for (obs::DecisionEvent &event : events) {
+                obs.trace->record(std::move(event));
             }
         }
     }
-    if (obs.metering()) {
-        obs.metrics->merge(*registries[0]);
-        if (compact) {
-            for (std::size_t i = 1; i < n; ++i) {
-                blocks[i].flush(*obs.metrics);
-            }
-        } else {
-            for (std::size_t i = 1; i < n; ++i) {
-                obs.metrics->merge(*registries[i]);
-            }
-        }
+    for (const CompactServeMetrics &block : blocks) {
+        block.flush(*obs.metrics);
     }
 
     // Fleet-level resilience metrics, declared only when the feature is

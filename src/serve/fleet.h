@@ -57,12 +57,13 @@ const char *qTableModeName(QTableMode mode);
 /** One fleet run's configuration. */
 struct FleetConfig {
     /**
-     * Per-device serving template. Device 0 uses it verbatim
-     * (including Q-table provenance: checkpoint/--qtable/training);
-     * device i > 0 gets seed replicateSeed(serve.seed, i) and warm
-     * starts from device 0's trained table. Checkpointing is
-     * single-device only: fleets with devices > 1 must leave
-     * checkpointPath empty.
+     * Per-device serving template, resolved into the fleet's one
+     * DevicePlan. Device 0 keeps serve.seed and runs the Q-table
+     * provenance (checkpoint/--qtable/training); device i > 0 gets
+     * seed replicateSeed(serve.seed, i) and warm starts from device
+     * 0's table. On a fleet of more than one device, checkpointPath
+     * and resume name the fleet manifest (fleet_checkpoint.h), never
+     * a per-device checkpoint.
      */
     ServeConfig serve;
     int devices = 1;
@@ -95,19 +96,6 @@ struct FleetConfig {
     /** Capture every device's final Q-table in FleetStats::qtableDump. */
     bool collectQTables = false;
 
-    /**
-     * Compact device representation (DESIGN.md §18, default): peer
-     * devices 1..n-1 live in one contiguous DeviceState array over a
-     * single shared immutable DevicePlan, record metrics into pooled
-     * per-device CompactServeMetrics blocks and traces into per-shard
-     * recorders, and share one BatchDecisionEngine per shard. Device 0
-     * always keeps the full legacy construction (private plan, private
-     * sinks, Q-table provenance). Every exported byte — traces,
-     * metrics, Q-dumps, checkpoints, checksum — is identical to the
-     * legacy representation (tests/test_fleet pins this); the flag
-     * exists so the parity suite can run both paths.
-     */
-    bool compactDevices = true;
     /**
      * Drop the per-device ServeStats vector and keep only fleet
      * aggregates (FleetStats::aggregate). Million-device runs need
@@ -254,11 +242,11 @@ core::QTable mergedQTableSnapshot(
     const std::vector<core::AutoScaleScheduler *> &schedulers);
 
 /**
- * Run a fleet. Device traces and metrics are recorded into
- * device-private sinks and merged into @p obs in device-index order
- * after the last barrier, so @p obs sees bytes independent of
- * --shards/--jobs. A fleet of one device is bit-identical to
- * runServe with the same ServeConfig.
+ * Run a fleet. Device traces go to per-shard buffers and metrics to
+ * per-device blocks; both are flushed into @p obs in device-index
+ * order after the last barrier, so @p obs sees bytes independent of
+ * --shards/--jobs. A fleet of one device reproduces runServe's stats
+ * and metrics bit for bit (its trace events add the fleet fields).
  */
 FleetStats runFleet(const sim::InferenceSimulator &sim,
                     const FleetConfig &config, const obs::ObsContext &obs);

@@ -20,9 +20,16 @@ ThreadPool::ThreadPool(int threads)
     }
 }
 
+// stop_ and queued_ are published under sleepMutex_: a worker checks
+// its wait predicate while holding that mutex, so an update made
+// outside it can land between the check and the sleep and the notify
+// is lost (the worker then sleeps through ~ThreadPool's join forever).
 ThreadPool::~ThreadPool()
 {
-    stop_.store(true, std::memory_order_release);
+    {
+        std::lock_guard<std::mutex> lock(sleepMutex_);
+        stop_.store(true, std::memory_order_release);
+    }
     sleepCv_.notify_all();
     for (std::thread &thread : threads_) {
         thread.join();
@@ -41,7 +48,10 @@ ThreadPool::submit(std::function<void()> task)
         std::lock_guard<std::mutex> lock(workers_[index]->mutex);
         workers_[index]->tasks.push_back(std::move(packaged));
     }
-    queued_.fetch_add(1, std::memory_order_release);
+    {
+        std::lock_guard<std::mutex> lock(sleepMutex_);
+        queued_.fetch_add(1, std::memory_order_release);
+    }
     sleepCv_.notify_one();
     return future;
 }

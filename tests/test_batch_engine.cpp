@@ -56,7 +56,7 @@ using DeviceFactory = platform::Device (*)();
 
 RunArtifacts
 runWith(DeviceFactory makeDevice, const ServeConfig &base,
-        int batchSize, bool useCostCache)
+        int batchSize, bool useCostCache, bool tracing = true)
 {
     sim::InferenceSimulator sim =
         sim::InferenceSimulator::makeDefault(makeDevice());
@@ -68,7 +68,9 @@ runWith(DeviceFactory makeDevice, const ServeConfig &base,
     obs::TraceRecorder trace;
     obs::ObsContext obs;
     obs.metrics = &metrics;
-    obs.trace = &trace;
+    if (tracing) {
+        obs.trace = &trace;
+    }
 
     RunArtifacts artifacts;
     artifacts.stats = runServe(sim, config, obs);
@@ -162,12 +164,9 @@ TEST(BatchEngineParity, AllModesBitIdenticalAcrossDevicesAndFaults)
     }
 }
 
-/**
- * Overload pressure exercises the paths batching interleaves with:
- * shedding at admission, stale re-checks at dequeue, the degradation
- * ladder, and deep-queue gathers with admissions arriving mid-commit.
- */
-TEST(BatchEngineParity, OverloadWithSheddingAndDegradation)
+/** Overloaded, remote-heavy flaky-wifi serving: sheds and degrades. */
+ServeConfig
+overloadConfig()
 {
     ServeConfig config = parityConfig("flaky-wifi", 6.0, 300);
     config.admission.maxDepth = 16;
@@ -176,6 +175,29 @@ TEST(BatchEngineParity, OverloadWithSheddingAndDegradation)
     // remote/partitioned picks).
     config.admission.degradeDepth = 1;
     config.policyName = "cloud";
+    return config;
+}
+
+/** FNV-1a 64: a stable digest for pinning exported bytes. */
+std::uint64_t
+fnv1a(const std::string &bytes)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const unsigned char c : bytes) {
+        hash ^= c;
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
+}
+
+/**
+ * Overload pressure exercises the paths batching interleaves with:
+ * shedding at admission, stale re-checks at dequeue, the degradation
+ * ladder, and deep-queue gathers with admissions arriving mid-commit.
+ */
+TEST(BatchEngineParity, OverloadWithSheddingAndDegradation)
+{
+    const ServeConfig config = overloadConfig();
     const RunArtifacts scalar =
         runWith(&platform::makeMi8Pro, config, 0, true);
     EXPECT_GT(scalar.stats.shedOverflow + scalar.stats.shedDeadline
@@ -188,6 +210,31 @@ TEST(BatchEngineParity, OverloadWithSheddingAndDegradation)
     expectArtifactsEqual(
         scalar, runWith(&platform::makeMi8Pro, config, 3, true),
         "overload/batch3");
+}
+
+/**
+ * The overload run's exported bytes, pinned. The digests were recorded
+ * at commit f8cb7f9, where the scalar and batched loops each had their
+ * own metrics recorder (both agreed), so they hold the one remaining
+ * recorder to the same bytes. A metering-only run builds no trace
+ * events at all and must still export the same metrics.
+ */
+TEST(BatchEngineParity, OverloadExportsMatchPinnedDigests)
+{
+    const ServeConfig config = overloadConfig();
+    for (const int batch : {0, 64}) {
+        SCOPED_TRACE("batch " + std::to_string(batch));
+        const RunArtifacts traced =
+            runWith(&platform::makeMi8Pro, config, batch, true);
+        EXPECT_EQ(traced.stats.served, 45);
+        EXPECT_EQ(traced.stats.degraded, 45);
+        EXPECT_EQ(fnv1a(traced.metricsText), 0x4878c5142d35b9dfULL);
+        EXPECT_EQ(fnv1a(traced.traceJsonl), 0xf5fe24118194bceaULL);
+        const RunArtifacts metered =
+            runWith(&platform::makeMi8Pro, config, batch, true, false);
+        EXPECT_TRUE(metered.traceJsonl.empty());
+        EXPECT_EQ(metered.metricsText, traced.metricsText);
+    }
 }
 
 /** Fixed baselines share the serving loop; parity must hold without a

@@ -9,9 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <ostream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -108,8 +110,8 @@ TEST(Fleet, FleetOfOneMatchesRunServe)
     ASSERT_EQ(stats.devices.size(), 1u);
     expectStatsBitIdentical(solo, stats.devices[0]);
 
-    // Metrics merge through a device-private registry must reproduce
-    // the single-device dump byte for byte. (Traces differ only by the
+    // Metrics flushed from the fleet's pooled block must reproduce the
+    // single-device dump byte for byte. (Traces differ only by the
     // deliberate fleet fields on each event.)
     std::ostringstream soloText;
     soloMetrics.writeText(soloText);
@@ -449,10 +451,13 @@ TEST(Fleet, MergedQTableSnapshotEqualsInPlaceMerge)
 }
 
 // ---------------------------------------------------------------------
-// Compact device representation (DESIGN.md §18): the shared-plan /
-// contiguous-DeviceState / pooled-metrics / per-shard-trace layout is a
-// memory layout change only. These tests pin every exported byte equal
-// to the legacy per-device construction.
+// Device records (DESIGN.md §18): every fleet device is one DeviceState
+// over the fleet's single DevicePlan, recording into a per-shard trace
+// buffer and a pooled metrics block. The digests below were recorded
+// at commit f8cb7f9 under both of its layouts — device 0 built
+// privately, peers either as records or each with private sinks —
+// which agreed on every byte, so they pin every exported byte to the
+// pre-refactor output.
 // ---------------------------------------------------------------------
 
 std::string
@@ -464,75 +469,135 @@ fileBytes(const char *path)
     return bytes.str();
 }
 
-TEST(FleetCompact, MatchesLegacyRepresentationByteForByte)
+/** FNV-1a 64: a stable digest for pinning exported bytes. */
+std::uint64_t
+fnv1a(const std::string &bytes)
 {
-    // Full parity matrix: every Q-table mode, with and without churn,
-    // compact at shard counts 1 and 4 against the legacy layout. The
-    // tuple covers the checksum (RNG fingerprints + stats), Q-table
-    // dumps, the JSONL trace, and the metrics dump — if any per-device
-    // arithmetic, RNG draw, counter, or flush order moved, something
-    // here changes.
-    for (const QTableMode qMode :
-         {QTableMode::PerDevice, QTableMode::Shared,
-          QTableMode::Federated}) {
-        for (const bool churn : {false, true}) {
-            FleetConfig fleet;
-            fleet.serve = serveConfig(1.5, 30);
-            fleet.devices = 6;
-            fleet.qMode = qMode;
-            fleet.federatedMergeEpochs = 2;
-            fleet.collectQTables = true;
-            fleet.infra.edgeCapacity = 1.0;
-            fleet.infra.contention = 4.0;
-            fleet.infra.brownoutPeriodMs = 1000.0;
-            fleet.infra.brownoutDurationMs = 250.0;
-            if (churn) {
-                fleet.churn.crashProb = 0.10;
-                fleet.churn.leaveProb = 0.05;
-                fleet.churn.downEpochs = 2;
-                fleet.churn.initialDevices = 3;
-                fleet.churn.joinEveryEpochs = 1;
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const unsigned char c : bytes) {
+        hash ^= c;
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
+}
+
+/** What a fleet run exports, digested. */
+struct FleetDigests {
+    std::uint64_t checksum;
+    std::uint64_t qtables;
+    std::uint64_t trace;
+    std::uint64_t metrics;
+
+    bool operator==(const FleetDigests &) const = default;
+};
+
+std::ostream &
+operator<<(std::ostream &os, const FleetDigests &d)
+{
+    return os << std::hex << std::showbase << "{checksum " << d.checksum
+              << ", qtables " << d.qtables << ", trace " << d.trace
+              << ", metrics " << d.metrics << "}" << std::dec;
+}
+
+/** Run @p config with full observability and digest every export. */
+FleetDigests
+runAndDigest(const FleetConfig &config, FleetStats *statsOut = nullptr)
+{
+    obs::TraceRecorder trace(true);
+    obs::MetricsRegistry metrics;
+    FleetStats stats =
+        runFleet(testSim(), config, obs::ObsContext{&trace, &metrics});
+    std::ostringstream traceText;
+    trace.writeJsonl(traceText);
+    std::ostringstream metricsText;
+    metrics.writeText(metricsText);
+    const FleetDigests digests{stats.checksum, fnv1a(stats.qtableDump),
+                               fnv1a(traceText.str()),
+                               fnv1a(metricsText.str())};
+    if (statsOut != nullptr) {
+        *statsOut = std::move(stats);
+    }
+    return digests;
+}
+
+TEST(FleetRecords, ExportsMatchPinnedDigests)
+{
+    // Every Q-table mode, with and without churn, at shard counts 1
+    // and 4. 400 requests per device run 14-16 epochs, so federated
+    // merges fire (every 2 epochs), churned devices rejoin, and
+    // contention snapshots are taken after real barriers. The digests
+    // cover the checksum (RNG fingerprints + stats), Q-table dumps,
+    // the JSONL trace, and the metrics dump.
+    struct Cell {
+        QTableMode qMode;
+        bool churn;
+        FleetDigests pinned;
+    };
+    const std::vector<Cell> cells = {
+        {QTableMode::PerDevice, false,
+         {0x41f4cd8b8dda92aaULL, 0x46dc23ee73a3063cULL,
+          0xee2c10abbddcb82bULL, 0x3caedd1d077e0674ULL}},
+        {QTableMode::PerDevice, true,
+         {0x4daeedb435592b3dULL, 0xfe9a8c1f11053363ULL,
+          0xe6e3f265b262b107ULL, 0xdc0db8608b6e4528ULL}},
+        {QTableMode::Shared, false,
+         {0x65d391e79992a7acULL, 0x53796c8b2d13f144ULL,
+          0x6c69240063771b1dULL, 0xcc7678d0fc3a8cfcULL}},
+        {QTableMode::Shared, true,
+         {0xc9446a61f880386aULL, 0x3e523f4328b59a42ULL,
+          0x43d67b6ce3b64e06ULL, 0x38dca2c47548352fULL}},
+        {QTableMode::Federated, false,
+         {0x85fc3cf9d7e06476ULL, 0xa41c263d20fce7d1ULL,
+          0x7b9d77a9fc337a44ULL, 0xc3c575a031c97437ULL}},
+        {QTableMode::Federated, true,
+         {0xab9c9c9529087042ULL, 0x3ad9b88de4e7037cULL,
+          0x8a4fe686b65cc9dfULL, 0xfd8e02ff624abc79ULL}},
+    };
+    for (const Cell &cell : cells) {
+        FleetConfig fleet;
+        fleet.serve = serveConfig(1.5, 400);
+        fleet.devices = 6;
+        fleet.qMode = cell.qMode;
+        fleet.federatedMergeEpochs = 2;
+        fleet.collectQTables = true;
+        fleet.infra.edgeCapacity = 1.0;
+        fleet.infra.contention = 4.0;
+        fleet.infra.brownoutPeriodMs = 1000.0;
+        fleet.infra.brownoutDurationMs = 250.0;
+        if (cell.churn) {
+            fleet.churn.crashProb = 0.10;
+            fleet.churn.leaveProb = 0.05;
+            fleet.churn.downEpochs = 2;
+            fleet.churn.initialDevices = 3;
+            fleet.churn.joinEveryEpochs = 1;
+        }
+        for (const int shards : {1, 4}) {
+            SCOPED_TRACE(std::string(qTableModeName(cell.qMode))
+                         + " churn=" + std::to_string(cell.churn)
+                         + " shards=" + std::to_string(shards));
+            FleetConfig config = fleet;
+            config.shards = shards;
+            FleetStats stats;
+            EXPECT_EQ(runAndDigest(config, &stats), cell.pinned);
+            // The coverage the digests are meant to carry.
+            EXPECT_GE(stats.epochs, 14);
+            if (cell.churn) {
+                EXPECT_GT(stats.churnRejoins, 0);
+                EXPECT_GT(stats.totalShedChurn(), 0);
             }
-
-            auto run = [&](bool compact, int shards) {
-                FleetConfig config = fleet;
-                config.compactDevices = compact;
-                config.shards = shards;
-                obs::TraceRecorder trace(true);
-                obs::MetricsRegistry metrics;
-                const FleetStats stats = runFleet(
-                    testSim(), config,
-                    obs::ObsContext{&trace, &metrics});
-                std::ostringstream traceText;
-                trace.writeJsonl(traceText);
-                std::ostringstream metricsText;
-                metrics.writeText(metricsText);
-                return std::make_tuple(stats.checksum, stats.qtableDump,
-                                       traceText.str(),
-                                       metricsText.str(), stats.epochs,
-                                       stats.totalShedChurn());
-            };
-
-            const auto legacy = run(false, 1);
-            EXPECT_EQ(legacy, run(true, 1))
-                << qTableModeName(qMode) << " churn=" << churn
-                << " shards=1";
-            EXPECT_EQ(legacy, run(true, 4))
-                << qTableModeName(qMode) << " churn=" << churn
-                << " shards=4";
         }
     }
 }
 
-TEST(FleetCompact, CheckpointBytesMatchLegacy)
+TEST(FleetRecords, CheckpointBytesMatchPinnedDigest)
 {
-    // The fleet manifest digest deliberately excludes the
-    // representation knob, so a halted compact run's manifest must be
-    // byte-identical to the legacy run's — and resuming a legacy
-    // manifest under the compact layout must replay to the
-    // uninterrupted run's exact outputs.
-    const char *path = "fleet_compact_unit.ckpt";
-    const char *prev = "fleet_compact_unit.ckpt.prev";
+    // The halted run's manifest bytes are pinned (config digest, state
+    // digest, churn line, merged Q-table), and resuming from it must
+    // finish the uninterrupted run's exact outputs.
+    const char *path = "fleet_records_unit.ckpt";
+    const char *prev = "fleet_records_unit.ckpt.prev";
+    std::remove(path);
+    std::remove(prev);
 
     FleetConfig fleet;
     fleet.serve = serveConfig(2.0, 200);
@@ -542,55 +607,33 @@ TEST(FleetCompact, CheckpointBytesMatchLegacy)
     fleet.churn.crashProb = 0.08;
     fleet.churn.downEpochs = 2;
 
-    auto haltedManifest = [&](bool compact) {
-        std::remove(path);
-        std::remove(prev);
-        FleetConfig config = fleet;
-        config.compactDevices = compact;
-        config.serve.checkpointPath = path;
-        config.haltAfterEpochs = 2;
-        const FleetStats stats = runFleet(testSim(), config, {});
-        EXPECT_TRUE(stats.halted);
-        EXPECT_GT(stats.checkpointsWritten, 0);
-        return fileBytes(path);
-    };
+    FleetConfig halted = fleet;
+    halted.serve.checkpointPath = path;
+    halted.haltAfterEpochs = 2;
+    const FleetStats haltStats = runFleet(testSim(), halted, {});
+    EXPECT_TRUE(haltStats.halted);
+    EXPECT_GT(haltStats.checkpointsWritten, 0);
+    const std::string manifest = fileBytes(path);
+    EXPECT_EQ(manifest.size(), 2425607u);
+    EXPECT_EQ(fnv1a(manifest), 0xa45ffe1ad78e65f6ULL);
 
-    const std::string legacyBytes = haltedManifest(false);
-    ASSERT_FALSE(legacyBytes.empty());
-    const std::string compactBytes = haltedManifest(true);
-    EXPECT_EQ(compactBytes, legacyBytes);
+    const FleetDigests uninterrupted{
+        0xc73b03be06a28b2fULL, 0x141ce18858b8e7eeULL,
+        0xb266f45250b3ec00ULL, 0x54872bd871e7b90aULL};
+    EXPECT_EQ(runAndDigest(fleet), uninterrupted);
 
-    auto finish = [&](bool compact, bool resume) {
-        FleetConfig config = fleet;
-        config.compactDevices = compact;
-        if (resume) {
-            config.serve.checkpointPath = path;
-            config.serve.resume = true;
-        }
-        obs::TraceRecorder trace(true);
-        obs::MetricsRegistry metrics;
-        const FleetStats stats = runFleet(
-            testSim(), config, obs::ObsContext{&trace, &metrics});
-        std::ostringstream traceText;
-        trace.writeJsonl(traceText);
-        std::ostringstream metricsText;
-        metrics.writeText(metricsText);
-        EXPECT_EQ(stats.resumed, resume);
-        return std::make_tuple(stats.checksum, stats.qtableDump,
-                               traceText.str(), metricsText.str());
-    };
-
-    // fileBytes() above proved the on-disk manifest is the legacy one;
-    // a compact resume from it must finish the legacy-uninterrupted
-    // trajectory byte for byte.
-    const auto uninterrupted = finish(false, false);
-    EXPECT_EQ(finish(true, true), uninterrupted);
+    FleetConfig resumed = fleet;
+    resumed.serve.checkpointPath = path;
+    resumed.serve.resume = true;
+    FleetStats resumeStats;
+    EXPECT_EQ(runAndDigest(resumed, &resumeStats), uninterrupted);
+    EXPECT_TRUE(resumeStats.resumed);
 
     std::remove(path);
     std::remove(prev);
 }
 
-TEST(FleetCompact, AggregateStatsFoldPreservesTotalsAndChecksum)
+TEST(FleetRecords, AggregateStatsFoldPreservesTotalsAndChecksum)
 {
     // aggregateStats drops the per-device ServeStats vector (a
     // million-device run cannot afford it) but must not change any
@@ -622,9 +665,9 @@ TEST(FleetCompact, AggregateStatsFoldPreservesTotalsAndChecksum)
     EXPECT_EQ(agg.endClockMs, full.endClockMs);
 }
 
-TEST(FleetCompact, HundredThousandDeviceSmokeStaysUnderMemoryBudget)
+TEST(FleetRecords, HundredThousandDeviceSmokeStaysUnderMemoryBudget)
 {
-    // The compact record itself must stay flat: one cache-friendly
+    // The device record itself must stay flat: one cache-friendly
     // struct, no growth past the envelope DESIGN.md §18 promises.
     EXPECT_LE(sizeof(DeviceState), 2048u);
 

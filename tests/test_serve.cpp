@@ -9,11 +9,14 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "dnn/model_zoo.h"
+#include "obs/metrics_registry.h"
 #include "platform/device_zoo.h"
+#include "serve/compact_metrics.h"
 #include "serve/server.h"
 #include "sim/simulator.h"
 
@@ -269,6 +272,45 @@ TEST(AdmissionQueue, PeekedPrefixSurvivesAppends)
     EXPECT_EQ(queue.at(3).id, 7);
     EXPECT_EQ(queue.pop().id, 0);
     EXPECT_EQ(queue.at(0).id, 1);
+}
+
+TEST(ServeMetrics, OneBucketTableForRegistryAndRecorder)
+{
+    // The recorder's bucket tables are the registry's defaults: if
+    // either side changes alone, latency and energy histograms from
+    // serving and from the rest of the system stop lining up.
+    auto asVector = [](const auto &bounds) {
+        return std::vector<double>(bounds.begin(), bounds.end());
+    };
+    EXPECT_EQ(asVector(CompactServeMetrics::kLatencyBoundsMs),
+              obs::MetricsRegistry::latencyBucketsMs());
+    EXPECT_EQ(asVector(CompactServeMetrics::kEnergyBoundsMj),
+              obs::MetricsRegistry::energyBucketsMj());
+
+    // declareServeHistograms declares exactly what a flush creates, so
+    // declaring up front changes no exported byte.
+    CompactServeMetrics block;
+    block.recordShed(kShedDeadline, 3);
+    block.recordServed(sim::TargetCategoryId::Cloud, true, false, false, true,
+                       4.0, 40.0, 12.5, 1);
+    obs::MetricsRegistry declared;
+    declareServeHistograms(declared);
+    EXPECT_EQ(declared.histogram("serve.latency_ms").upperBounds,
+              asVector(CompactServeMetrics::kLatencyBoundsMs));
+    EXPECT_EQ(declared.histogram("serve.wait_ms").upperBounds,
+              asVector(CompactServeMetrics::kLatencyBoundsMs));
+    EXPECT_EQ(declared.histogram("serve.energy_mj").upperBounds,
+              asVector(CompactServeMetrics::kEnergyBoundsMj));
+    EXPECT_EQ(declared.histogram("serve.queue_depth").upperBounds,
+              asVector(CompactServeMetrics::kQueueDepthBounds));
+    obs::MetricsRegistry fresh;
+    block.flush(declared);
+    block.flush(fresh);
+    std::ostringstream declaredText;
+    declared.writeText(declaredText);
+    std::ostringstream freshText;
+    fresh.writeText(freshText);
+    EXPECT_EQ(declaredText.str(), freshText.str());
 }
 
 TEST(ServeDeath, FixedPoliciesCannotCheckpoint)

@@ -7,6 +7,7 @@
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/thread_pool.h"
@@ -95,6 +96,35 @@ TEST(ThreadPool, SurvivesManyWavesOfWork)
         pool.parallelFor(25, [&](std::size_t) { ++total; });
     }
     EXPECT_EQ(total.load(), 250);
+}
+
+// Lost-wakeup reproducer. A worker that has just found its wait
+// predicate false must not miss a concurrent submit() or destructor
+// notify; if it does, it sleeps forever and ~ThreadPool's join never
+// returns. Every cycle opens that window once per task and once per
+// pool, and four driver threads oversubscribe the cores so a worker
+// is often preempted inside it. A pool that publishes queued_/stop_
+// outside sleepMutex_ hangs here in most runs (7 of 8 on a 4-core
+// x86-64 host), which the ctest TIMEOUT turns into a failure; the
+// fixed pool finishes in about 2 s there.
+TEST(ThreadPool, ConstructRunDestroyCyclesNeverHang)
+{
+    constexpr int kDrivers = 4;
+    constexpr int kCyclesPerDriver = 5000;
+    std::atomic<int> total{0};
+    std::vector<std::thread> drivers;
+    for (int d = 0; d < kDrivers; ++d) {
+        drivers.emplace_back([&total] {
+            for (int cycle = 0; cycle < kCyclesPerDriver; ++cycle) {
+                ThreadPool pool(4);
+                pool.parallelFor(4, [&total](std::size_t) { ++total; });
+            }
+        });
+    }
+    for (std::thread &driver : drivers) {
+        driver.join();
+    }
+    EXPECT_EQ(total.load(), kDrivers * kCyclesPerDriver * 4);
 }
 
 TEST(ThreadPool, MoreThreadsThanTasks)

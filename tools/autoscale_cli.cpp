@@ -915,8 +915,7 @@ cmdServe(const Args &args)
               "--halt-after-epochs", "--churn-crash-prob",
               "--churn-leave-prob", "--churn-down-epochs",
               "--churn-initial-devices", "--churn-join-every",
-              "--outage-period-ms", "--outage-ms",
-              "--fleet-legacy-devices", "--fleet-memory"}) {
+              "--outage-period-ms", "--outage-ms", "--fleet-memory"}) {
             if (args.has(fleetOnly)) {
                 fatal(std::string(fleetOnly)
                       + " requires fleet serving (--fleet N > 1)");
@@ -1053,11 +1052,6 @@ cmdServe(const Args &args)
         }
         const std::string qtableOut = args.get("--fleet-qtable-out");
         fleet.collectQTables = !qtableOut.empty();
-        // --fleet-legacy-devices drops to the per-device construction
-        // (DESIGN.md §18); output is byte-identical either way — the
-        // flag exists for memory/throughput comparisons and as the
-        // escape hatch while the compact path beds in.
-        fleet.compactDevices = !args.has("--fleet-legacy-devices");
         fleet.reportMemory = args.has("--fleet-memory");
 
         if (spec != nullptr) {
@@ -1190,11 +1184,7 @@ usage()
         "        [--fleet-qtable-out FILE] dump all final Q-tables\n"
         "        [--fleet-memory]      report peak RSS and bytes/device\n"
         "                              (and append a fleet_memory record\n"
-        "                              to a JSONL --trace)\n"
-        "        [--fleet-legacy-devices] per-device construction instead\n"
-        "                              of the compact shared-plan layout\n"
-        "                              (byte-identical output; for\n"
-        "                              comparisons)\n\n"
+        "                              to a JSONL --trace)\n\n"
         "Scenario files (train, evaluate, loo, serve):\n"
         "  --scenario FILE              load a declarative .scn scenario\n"
         "                               (on serve, a Table IV name S1-D4\n"
