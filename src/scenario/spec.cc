@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <limits>
 #include <map>
 #include <sstream>
+#include <type_traits>
 
 #include "dnn/model_zoo.h"
 #include "platform/device_zoo.h"
@@ -15,52 +19,65 @@ namespace {
 
 /** Largest integer exactly representable in the Number payload. */
 constexpr double kMaxExactInt = 9007199254740992.0; // 2^53
+/**
+ * Largest seed either route accepts: below 2^53, so a file value that
+ * rounds onto 2^53 is rejected just like the flag spelling it exactly.
+ */
+constexpr double kMaxSeed = kMaxExactInt - 1;
 
 /** Section names and per-section key order — the canonical order. */
 struct SectionSchema {
-    const char *name;
+    std::string name;
     bool repeatable;
-    std::vector<const char *> keys;
+    std::vector<std::string> keys;
 };
+
+/** Section of a dotted table key ("arrival" for "arrival.rate_x"). */
+std::string
+sectionOf(const std::string &key)
+{
+    return key.substr(0, key.find('.'));
+}
 
 const std::vector<SectionSchema> &
 schema()
 {
-    static const std::vector<SectionSchema> kSchema = {
-        {"meta", false, {"name", "description", "seed"}},
-        {"device", false, {"model", "population"}},
-        {"workload", false,
-         {"network", "requests", "train_runs", "accuracy_target_pct"}},
-        {"env", false, {"base"}},
-        {"arrival", false,
-         {"rate_x", "rate_rps", "burst_period_ms", "burst_ms",
-          "burst_mult", "diurnal_period_ms", "diurnal_amplitude"}},
-        {"qos", false, {"queue_depth", "degrade_depth"}},
-        {"retry", false,
-         {"timeout_ms", "max_retries", "backoff_ms", "backoff_mult"}},
-        {"fault", false,
-         {"seed", "brownout_start", "brownout_duration", "brownout_period",
-          "brownout_slowdown", "brownout_down_prob", "throttle_factor",
-          "throttle_prob", "transfer_drop_prob"}},
-        {"fault.blackout", true,
-         {"start", "duration", "period", "wlan", "p2p"}},
-        {"fault.fade", true, {"wlan", "drop_db", "probability"}},
-        {"mobility.segment", true,
-         {"start", "duration", "period", "wlan", "attenuation_db"}},
-        {"interference.segment", true,
-         {"start", "duration", "period", "co_cpu", "co_mem"}},
-        {"fleet", false, {"epoch_ms", "q_mode", "merge_epochs"}},
-        {"infra", false,
-         {"edge_capacity", "wifi_capacity", "contention",
-          "brownout_period_ms", "brownout_ms", "brownout_slowdown",
-          "outage_period_ms", "outage_ms"}},
-        {"churn", false,
-         {"crash_prob", "leave_prob", "down_epochs", "initial_devices",
-          "join_every_epochs"}},
-        // [variant] keys are free-form axis paths; file order is
-        // meaningful and preserved (see variants.h).
-        {"variant", false, {}},
-    };
+    static const std::vector<SectionSchema> kSchema = [] {
+        // Scalar keys of the singleton sections come from the settings
+        // table; only env's list and the repeatable sections are here.
+        std::vector<SectionSchema> sections = {
+            {"meta", false, {}},
+            {"device", false, {}},
+            {"workload", false, {}},
+            {"env", false, {"base"}},
+            {"arrival", false, {}},
+            {"qos", false, {}},
+            {"retry", false, {}},
+            {"fault", false, {}},
+            {"fault.blackout", true,
+             {"start", "duration", "period", "wlan", "p2p"}},
+            {"fault.fade", true, {"wlan", "drop_db", "probability"}},
+            {"mobility.segment", true,
+             {"start", "duration", "period", "wlan", "attenuation_db"}},
+            {"interference.segment", true,
+             {"start", "duration", "period", "co_cpu", "co_mem"}},
+            {"fleet", false, {}},
+            {"infra", false, {}},
+            {"churn", false, {}},
+            // [variant] keys are free-form axis paths; file order is
+            // meaningful and preserved (see variants.h).
+            {"variant", false, {}},
+        };
+        for (const Setting &setting : settings()) {
+            const std::string key = setting.key;
+            for (SectionSchema &section : sections) {
+                if (section.name == sectionOf(key)) {
+                    section.keys.push_back(key.substr(key.find('.') + 1));
+                }
+            }
+        }
+        return sections;
+    }();
     return kSchema;
 }
 
@@ -114,14 +131,9 @@ class Binder {
             }
         }
         for (const Entry &entry : section_.entries) {
-            bool known = false;
-            for (const char *key : sectionSchema.keys) {
-                if (entry.key == key) {
-                    known = true;
-                    break;
-                }
-            }
-            if (!known) {
+            const std::vector<std::string> &keys = sectionSchema.keys;
+            if (std::find(keys.begin(), keys.end(), entry.key)
+                == keys.end()) {
                 diags_.error(file_, entry.line,
                              "unknown key '" + entry.key + "' in ["
                                  + section_.name + "]");
@@ -155,7 +167,6 @@ class Binder {
             return false;
         }
         *out = entry->value.num;
-        line_ = entry->line;
         mark(key);
         return true;
     }
@@ -195,7 +206,6 @@ class Binder {
             return false;
         }
         *out = entry->value.boolean;
-        line_ = entry->line;
         mark(key);
         return true;
     }
@@ -214,12 +224,11 @@ class Binder {
             return false;
         }
         *out = entry->value.str;
-        line_ = entry->line;
         mark(key);
         return true;
     }
 
-    /** Line of the entry most recently read (for range messages). */
+    /** Line of @p key, or of the section when the key is absent. */
     int
     line(const char *key) const
     {
@@ -257,7 +266,6 @@ class Binder {
     const std::string &file_;
     Diagnostics &diags_;
     std::set<std::string> *explicit_;
-    int line_ = 0;
 };
 
 /** number + range check in one call; true iff present and valid. */
@@ -347,87 +355,8 @@ parseEnvBase(const std::string &name, int line, const std::string &file,
 }
 
 void
-bindMeta(Binder &binder, ScenarioSpec &spec)
-{
-    std::string text;
-    if (binder.string("name", &text)) {
-        if (text.empty()) {
-            binder.failText("name", "must be non-empty");
-        } else {
-            spec.name = text;
-        }
-    }
-    binder.string("description", &spec.description);
-    std::int64_t seed = 0;
-    if (checkedInteger(binder, "seed", 0, 9007199254740992, ">= 0",
-                       &seed)) {
-        spec.seed = static_cast<std::uint64_t>(seed);
-    }
-}
-
-void
-bindDevice(Binder &binder, ScenarioSpec &spec)
-{
-    std::string model;
-    if (binder.string("model", &model)) {
-        const std::vector<std::string> names = platform::phoneNames();
-        if (std::find(names.begin(), names.end(), model) == names.end()) {
-            std::string known;
-            for (const std::string &name : names) {
-                if (!known.empty()) {
-                    known += ", ";
-                }
-                known += name;
-            }
-            binder.failText("model", "must be one of {" + known
-                                         + "}, got \"" + model + "\"");
-        } else {
-            spec.deviceModel = model;
-        }
-    }
-    std::int64_t population = 0;
-    if (checkedInteger(binder, "population", 1, 1000000,
-                       "within [1, 1000000]", &population)) {
-        spec.population = static_cast<int>(population);
-    }
-}
-
-void
-bindWorkload(Binder &binder, ScenarioSpec &spec)
-{
-    std::string network;
-    if (binder.string("network", &network) && !network.empty()) {
-        bool known = false;
-        for (const auto &net : dnn::modelZoo()) {
-            if (net.name() == network) {
-                known = true;
-                break;
-            }
-        }
-        if (!known) {
-            binder.failText("network",
-                            "must be a model-zoo network name or \"\", "
-                            "got \"" + network + "\"");
-        } else {
-            spec.network = network;
-        }
-    }
-    std::int64_t value = 0;
-    if (checkedInteger(binder, "requests", 1, 1000000000,
-                       "within [1, 1e9]", &value)) {
-        spec.requests = value;
-    }
-    if (checkedInteger(binder, "train_runs", 0, 1000000,
-                       "within [0, 1e6]", &value)) {
-        spec.trainRuns = static_cast<int>(value);
-    }
-    checkedNumber(binder, "accuracy_target_pct", 0.0, 100.0,
-                  "within [0, 100]", &spec.accuracyTargetPct);
-}
-
-void
-bindEnv(const Section &section, Binder &binder, const std::string &file,
-        ScenarioSpec &spec, Diagnostics &diags)
+bindEnv(const Section &section, const std::string &file, ScenarioSpec &spec,
+        Diagnostics &diags)
 {
     const Entry *entry = section.find("base");
     if (entry == nullptr) {
@@ -478,155 +407,61 @@ bindEnv(const Section &section, Binder &binder, const std::string &file,
         // Recorded by hand: the list form bypasses Binder::string.
         spec.explicitKeys.insert("env.base");
     }
-    // Silence the "unknown key" pass: base is in the schema, and the
-    // Binder never saw a typed read for the list form. (No-op.)
-    (void)binder;
 }
 
+/** A number key of the table: bound only when finite and in range. */
 void
-bindArrival(Binder &binder, const std::string &file, ScenarioSpec &spec,
-            Diagnostics &diags)
+bindField(Binder &binder, const Setting &setting, const char *key,
+          double *field)
 {
-    if (binder.has("rate_x") && binder.has("rate_rps")) {
-        diags.error(file, binder.line("rate_rps"),
-                    "arrival.rate_rps and arrival.rate_x are mutually "
-                    "exclusive; set one");
+    checkedNumber(binder, key, setting.lo, setting.hi, setting.constraint,
+                  field);
+}
+
+/** A string key: bound only when the row's check has no complaint. */
+void
+bindField(Binder &binder, const Setting &setting, const char *key,
+          std::string *field)
+{
+    std::string text;
+    if (!binder.string(key, &text)) {
+        return;
     }
-    double value = 0.0;
-    if (checkedNumber(binder, "rate_x", 1e-6, 1e6, "> 0", &value)) {
-        spec.arrival.rateX = value;
-    }
-    if (checkedNumber(binder, "rate_rps", 1e-6, 1e9, "> 0", &value)) {
-        spec.arrival.rateRps = value;
-    }
-    if (binder.number("burst_period_ms", &value)) {
-        // <= 0 is the documented "bursts off" spelling.
-        spec.arrival.burstPeriodMs = value;
-    }
-    if (checkedNumber(binder, "burst_ms", 0.0, 1e9, ">= 0", &value)) {
-        spec.arrival.burstMs = value;
-    }
-    if (checkedNumber(binder, "burst_mult", 1.0, 1e6, ">= 1", &value)) {
-        spec.arrival.burstMult = value;
-    }
-    if (spec.arrival.burstPeriodMs > 0.0
-        && spec.arrival.burstMs > spec.arrival.burstPeriodMs) {
-        binder.fail("burst_ms", "<= arrival.burst_period_ms",
-                    spec.arrival.burstMs);
-    }
-    if (checkedNumber(binder, "diurnal_period_ms", 1e-3, 1e12, "> 0",
-                      &value)) {
-        spec.arrival.diurnalPeriodMs = value;
-    }
-    if (checkedNumber(binder, "diurnal_amplitude", 0.0,
-                      0.999999, "within [0, 1)", &value)) {
-        spec.arrival.diurnalAmplitude = value;
-    }
-    if (spec.arrival.diurnalAmplitude > 0.0
-        && spec.arrival.diurnalPeriodMs <= 0.0) {
-        diags.error(file, binder.line("diurnal_amplitude"),
-                    "arrival.diurnal_amplitude requires "
-                    "arrival.diurnal_period_ms");
+    const std::string complaint =
+        setting.check != nullptr ? setting.check(text) : "";
+    if (complaint.empty()) {
+        *field = text;
+    } else {
+        binder.failText(key, complaint);
     }
 }
 
+/** An integer key of any width. */
+template <typename Int>
 void
-bindQos(Binder &binder, ScenarioSpec &spec)
+bindField(Binder &binder, const Setting &setting, const char *key,
+          Int *field)
 {
     std::int64_t value = 0;
-    if (checkedInteger(binder, "queue_depth", 1, 1000000,
-                       "within [1, 1e6]", &value)) {
-        spec.queueDepth = static_cast<int>(value);
-    }
-    if (checkedInteger(binder, "degrade_depth", 0, 1000000,
-                       "within [0, 1e6]", &value)) {
-        spec.degradeDepth = static_cast<int>(value);
+    if (checkedInteger(binder, key, static_cast<std::int64_t>(setting.lo),
+                       static_cast<std::int64_t>(setting.hi),
+                       setting.constraint, &value)) {
+        *field = static_cast<Int>(value);
     }
 }
 
+/** Every table key of singleton section @p section. */
 void
-bindRetry(Binder &binder, ScenarioSpec &spec)
+bindScalars(Binder &binder, const std::string &section, ScenarioSpec &spec)
 {
-    double value = 0.0;
-    if (checkedNumber(binder, "timeout_ms", 1e-3, 1e9, "> 0", &value)) {
-        spec.retry.timeoutMs = value;
-    }
-    std::int64_t retries = 0;
-    if (checkedInteger(binder, "max_retries", 0, 100, "within [0, 100]",
-                       &retries)) {
-        spec.retry.maxRetries = static_cast<int>(retries);
-    }
-    if (checkedNumber(binder, "backoff_ms", 0.0, 1e9, ">= 0", &value)) {
-        spec.retry.backoffBaseMs = value;
-    }
-    if (checkedNumber(binder, "backoff_mult", 1e-6, 1e6, "> 0", &value)) {
-        spec.retry.backoffMultiplier = value;
-    }
-}
-
-void
-bindFault(Binder &binder, const std::string &file, ScenarioSpec &spec,
-          Diagnostics &diags)
-{
-    std::int64_t seed = 0;
-    if (checkedInteger(binder, "seed", 0, 9007199254740992, ">= 0",
-                       &seed)) {
-        spec.faults.seed = static_cast<std::uint64_t>(seed);
-    }
-    std::int64_t steps = 0;
-    if (checkedInteger(binder, "brownout_start", 0, 1000000000, ">= 0",
-                       &steps)) {
-        spec.faults.brownoutWindow.startStep = steps;
-    }
-    if (checkedInteger(binder, "brownout_duration", 1, 1000000000,
-                       ">= 1 (a zero-duration window never fires)",
-                       &steps)) {
-        spec.faults.brownoutWindow.durationSteps = steps;
-    }
-    if (checkedInteger(binder, "brownout_period", 0, 1000000000, ">= 0",
-                       &steps)) {
-        spec.faults.brownoutWindow.periodSteps = steps;
-    }
-    if (spec.faults.brownoutWindow.periodSteps > 0
-        && spec.faults.brownoutWindow.durationSteps
-               > spec.faults.brownoutWindow.periodSteps) {
-        binder.fail(
-            "brownout_duration", "<= fault.brownout_period",
-            static_cast<double>(spec.faults.brownoutWindow.durationSteps));
-    }
-    double value = 0.0;
-    if (checkedNumber(binder, "brownout_slowdown", 1.0, 1e6, ">= 1",
-                      &value)) {
-        spec.faults.brownoutSlowdown = value;
-    }
-    if (checkedNumber(binder, "brownout_down_prob", 0.0, 1.0,
-                      "within [0, 1]", &value)) {
-        spec.faults.brownoutDownProb = value;
-    }
-    if ((spec.faults.brownoutSlowdown > 1.0
-         || spec.faults.brownoutDownProb > 0.0)
-        && spec.faults.brownoutWindow.durationSteps <= 0) {
-        diags.error(file, binder.line("brownout_slowdown"),
-                    "a cloud brownout needs a fault.brownout_duration "
-                    "window to fire in");
-    }
-    if (checkedNumber(binder, "throttle_factor", 1e-6, 1.0,
-                      "within (0, 1]", &value)) {
-        spec.faults.throttleFactor = value;
-    }
-    if (checkedNumber(binder, "throttle_prob", 0.0, 1.0, "within [0, 1]",
-                      &value)) {
-        spec.faults.throttleProb = value;
-    }
-    if (spec.faults.throttleFactor < 1.0
-        && spec.faults.throttleProb <= 0.0) {
-        diags.error(file, binder.line("throttle_factor"),
-                    "fault.throttle_factor < 1 needs fault.throttle_prob "
-                    "> 0 to ever fire");
-    }
-    if (checkedNumber(binder, "transfer_drop_prob", 0.0, 1.0,
-                      "within [0, 1]", &value)) {
-        spec.faults.transferDropProb = value;
+    for (const Setting &setting : settings()) {
+        if (sectionOf(setting.key) != section) {
+            continue;
+        }
+        const char *key = std::strchr(setting.key, '.') + 1;
+        std::visit(
+            [&](auto *field) { bindField(binder, setting, key, field); },
+            setting.field(spec));
     }
 }
 
@@ -734,107 +569,355 @@ bindInterferenceSegment(Binder &binder, const std::string &file,
     }
 }
 
-void
-bindFleet(Binder &binder, ScenarioSpec &spec)
+std::string
+checkName(const std::string &value)
 {
-    double value = 0.0;
-    if (checkedNumber(binder, "epoch_ms", 1e-3, 1e9, "> 0", &value)) {
-        spec.fleet.epochMs = value;
+    return value.empty() ? "must be non-empty" : "";
+}
+
+std::string
+checkModel(const std::string &value)
+{
+    const std::vector<std::string> names = platform::phoneNames();
+    if (std::find(names.begin(), names.end(), value) != names.end()) {
+        return "";
     }
-    std::string mode;
-    if (binder.string("q_mode", &mode)) {
-        if (mode != "per-device" && mode != "shared"
-            && mode != "federated") {
-            binder.failText("q_mode",
-                            "must be one of {per-device, shared, "
-                            "federated}, got \"" + mode + "\"");
-        } else {
-            spec.fleet.qMode = mode;
+    std::string known;
+    for (const std::string &name : names) {
+        if (!known.empty()) {
+            known += ", ";
+        }
+        known += name;
+    }
+    return "must be one of {" + known + "}, got \"" + value + "\"";
+}
+
+std::string
+checkNetwork(const std::string &value)
+{
+    if (value.empty()) {
+        return ""; // The whole mix.
+    }
+    for (const auto &net : dnn::modelZoo()) {
+        if (net.name() == value) {
+            return "";
         }
     }
-    std::int64_t epochs = 0;
-    if (checkedInteger(binder, "merge_epochs", 1, 1000000,
-                       "within [1, 1e6]", &epochs)) {
-        spec.fleet.mergeEpochs = static_cast<int>(epochs);
-    }
+    return "must be a model-zoo network name or \"\", got \"" + value
+        + "\"";
 }
 
-void
-bindInfra(Binder &binder, ScenarioSpec &spec)
+std::string
+checkQMode(const std::string &value)
 {
-    double value = 0.0;
-    if (checkedNumber(binder, "edge_capacity", 1e-6, 1e9, "> 0", &value)) {
-        spec.infra.edgeCapacity = value;
+    if (value == "per-device" || value == "shared" || value == "federated") {
+        return "";
     }
-    if (checkedNumber(binder, "wifi_capacity", 1e-6, 1e9, "> 0", &value)) {
-        spec.infra.wifiCapacity = value;
-    }
-    if (checkedNumber(binder, "contention", 1e-6, 1e6, "> 0", &value)) {
-        spec.infra.contention = value;
-    }
-    if (checkedNumber(binder, "brownout_period_ms", 0.0, 1e12, ">= 0",
-                      &value)) {
-        spec.infra.brownoutPeriodMs = value;
-    }
-    if (checkedNumber(binder, "brownout_ms", 0.0, 1e12, ">= 0", &value)) {
-        spec.infra.brownoutDurationMs = value;
-    }
-    if (spec.infra.brownoutPeriodMs > 0.0
-        && spec.infra.brownoutDurationMs > spec.infra.brownoutPeriodMs) {
-        binder.fail("brownout_ms", "<= infra.brownout_period_ms",
-                    spec.infra.brownoutDurationMs);
-    }
-    if (checkedNumber(binder, "brownout_slowdown", 1.0, 1e6, ">= 1",
-                      &value)) {
-        spec.infra.brownoutSlowdown = value;
-    }
-    if (checkedNumber(binder, "outage_period_ms", 0.0, 1e12, ">= 0",
-                      &value)) {
-        spec.infra.outagePeriodMs = value;
-    }
-    if (checkedNumber(binder, "outage_ms", 0.0, 1e12, ">= 0", &value)) {
-        spec.infra.outageDurationMs = value;
-    }
-    if (spec.infra.outagePeriodMs > 0.0
-        && spec.infra.outageDurationMs > spec.infra.outagePeriodMs) {
-        binder.fail("outage_ms", "<= infra.outage_period_ms",
-                    spec.infra.outageDurationMs);
-    }
+    return "must be one of {per-device, shared, federated}, got \"" + value
+        + "\"";
 }
 
+/** Spells a key in messages: the dotted key, or the flag that set it. */
+using KeyName = std::function<std::string(const std::string &key)>;
+/** Receives one violation: the key it is anchored at, and the message. */
+using Report =
+    std::function<void(const std::string &key, const std::string &message)>;
+
+/**
+ * The cross-key rules, one function for both routes, over a spec whose
+ * fields hold only values that passed their row's range.
+ */
 void
-bindChurn(Binder &binder, ScenarioSpec &spec)
+checkCrossKeys(const ScenarioSpec &spec, const KeyName &name,
+               const Report &report)
 {
-    double value = 0.0;
-    if (checkedNumber(binder, "crash_prob", 0.0, 1.0, "within [0, 1]",
-                      &value)) {
-        spec.churn.crashProb = value;
+    const auto exceeds = [&](const char *key, const char *bound,
+                             double value) {
+        report(key, name(key) + " must be <= " + name(bound) + ", got "
+                        + formatDouble(value));
+    };
+    if (spec.isSet("arrival.rate_x") && spec.isSet("arrival.rate_rps")) {
+        report("arrival.rate_rps",
+               name("arrival.rate_rps") + " and " + name("arrival.rate_x")
+                   + " are mutually exclusive; set one");
     }
-    if (checkedNumber(binder, "leave_prob", 0.0, 1.0, "within [0, 1]",
-                      &value)) {
-        spec.churn.leaveProb = value;
+    // A burst period <= 0 is the documented "bursts off" spelling.
+    const ArrivalSpec &arrival = spec.arrival;
+    if (arrival.burstPeriodMs > 0.0
+        && arrival.burstMs > arrival.burstPeriodMs) {
+        exceeds("arrival.burst_ms", "arrival.burst_period_ms",
+                arrival.burstMs);
+    }
+    if (arrival.diurnalAmplitude > 0.0 && arrival.diurnalPeriodMs <= 0.0) {
+        report("arrival.diurnal_amplitude",
+               name("arrival.diurnal_amplitude") + " requires "
+                   + name("arrival.diurnal_period_ms"));
+    }
+
+    const fault::FaultPlan &faults = spec.faults;
+    if (faults.brownoutWindow.periodSteps > 0
+        && faults.brownoutWindow.durationSteps
+               > faults.brownoutWindow.periodSteps) {
+        exceeds("fault.brownout_duration", "fault.brownout_period",
+                static_cast<double>(faults.brownoutWindow.durationSteps));
+    }
+    if ((faults.brownoutSlowdown > 1.0 || faults.brownoutDownProb > 0.0)
+        && faults.brownoutWindow.durationSteps <= 0) {
+        report("fault.brownout_slowdown",
+               "a cloud brownout needs a "
+                   + name("fault.brownout_duration") + " window to fire in");
+    }
+    if (faults.throttleFactor < 1.0 && faults.throttleProb <= 0.0) {
+        report("fault.throttle_factor",
+               name("fault.throttle_factor") + " < 1 needs "
+                   + name("fault.throttle_prob") + " > 0 to ever fire");
+    }
+
+    const serve::SharedInfraConfig &infra = spec.infra;
+    if (infra.brownoutPeriodMs > 0.0
+        && infra.brownoutDurationMs > infra.brownoutPeriodMs) {
+        exceeds("infra.brownout_ms", "infra.brownout_period_ms",
+                infra.brownoutDurationMs);
+    }
+    if (infra.outagePeriodMs > 0.0
+        && infra.outageDurationMs > infra.outagePeriodMs) {
+        exceeds("infra.outage_ms", "infra.outage_period_ms",
+                infra.outageDurationMs);
     }
     if (spec.churn.crashProb + spec.churn.leaveProb > 1.0) {
-        binder.failText("leave_prob",
-                        "churn.crash_prob + churn.leave_prob must not"
-                        " exceed 1");
+        report("churn.leave_prob",
+               name("churn.crash_prob") + " + " + name("churn.leave_prob")
+                   + " must not exceed 1");
     }
-    std::int64_t count = 0;
-    if (checkedInteger(binder, "down_epochs", 1, 1000000,
-                       "within [1, 1e6]", &count)) {
-        spec.churn.downEpochs = static_cast<int>(count);
+
+    // Fleet knobs describe shared infrastructure (and churn describes
+    // fleet membership); on a population of one there is nothing to
+    // share and the keys would silently do nothing — reject instead.
+    if (spec.population <= 1) {
+        for (const std::string &key : spec.explicitKeys) {
+            const std::string section = sectionOf(key);
+            if (section == "fleet" || section == "infra"
+                || section == "churn") {
+                report(key, name(key) + " requires "
+                                + name("device.population") + " > 1");
+                break;
+            }
+        }
+    } else if (spec.churn.initialDevices > spec.population) {
+        exceeds("churn.initial_devices", "device.population",
+                spec.churn.initialDevices);
     }
-    if (checkedInteger(binder, "initial_devices", 0, 1000000,
-                       "within [0, 1e6]", &count)) {
-        spec.churn.initialDevices = static_cast<int>(count);
+}
+
+/** Strict integer text: optional sign and digits, nothing else. */
+bool
+parseInteger(const std::string &text, long long *out)
+{
+    try {
+        std::size_t consumed = 0;
+        *out = std::stoll(text, &consumed);
+        return consumed == text.size();
+    } catch (const std::logic_error &) {
+        return false; // invalid_argument or out_of_range
     }
-    if (checkedInteger(binder, "join_every_epochs", 1, 1000000,
-                       "within [1, 1e6]", &count)) {
-        spec.churn.joinEveryEpochs = static_cast<int>(count);
+}
+
+std::string
+render(double value)
+{
+    return formatDouble(value);
+}
+
+std::string
+render(const std::string &value)
+{
+    return "'" + value + "'";
+}
+
+template <typename Int>
+std::string
+render(Int value)
+{
+    return std::to_string(value);
+}
+
+/**
+ * Overlay one present flag onto @p field; true iff it was applied.
+ * Diagnostics name the flag, so a usage error reads `--flag ...`.
+ */
+template <typename T>
+bool
+overlay(const Args &args, const std::string &flag, const Setting &setting,
+        const ScenarioSpec &spec, T *field, Diagnostics &diags)
+{
+    const auto fail = [&](const std::string &message) {
+        diags.error("", 0, flag + " " + message);
+        return false;
+    };
+    const std::string text = args.get(flag);
+    T value{};
+    if constexpr (std::is_same_v<T, std::string>) {
+        value = text;
+        const std::string complaint =
+            setting.check != nullptr ? setting.check(value) : "";
+        if (!complaint.empty()) {
+            return fail(complaint);
+        }
+    } else if constexpr (std::is_same_v<T, double>) {
+        if (args.parseDouble(flag, &value) != Args::ParseStatus::Ok) {
+            return fail("expects a number, got '" + text + "'");
+        }
+        if (!std::isfinite(value)) {
+            return fail("must be finite");
+        }
+        if (value < setting.lo || value > setting.hi) {
+            return fail("must be " + std::string(setting.constraint)
+                        + ", got " + formatDouble(value));
+        }
+    } else {
+        long long wide = 0;
+        if (!parseInteger(text, &wide)) {
+            return fail("expects an integer, got '" + text + "'");
+        }
+        if (wide < static_cast<long long>(setting.lo)
+            || wide > static_cast<long long>(setting.hi)) {
+            return fail("must be " + std::string(setting.constraint)
+                        + ", got " + std::to_string(wide));
+        }
+        value = static_cast<T>(wide);
     }
+    if (spec.isSet(setting.key) && render(value) != render(*field)) {
+        std::string fileValue = render(*field);
+        if constexpr (std::is_same_v<T, std::string>) {
+            fileValue = "\"" + *field + "\"";
+        }
+        return fail(render(value) + " conflicts with " + setting.key + " = "
+                    + fileValue + " from " + spec.sourceFile
+                    + " (drop the flag or change the file)");
+    }
+    *field = value;
+    return true;
+}
+
+/** Line of dotted @p key in @p doc: its entry, else its section, else 0. */
+int
+lineOf(const Doc &doc, const std::string &key)
+{
+    const Section *section = doc.find(sectionOf(key));
+    if (section == nullptr) {
+        return 0;
+    }
+    const Entry *entry = section->find(key.substr(key.find('.') + 1));
+    return entry != nullptr ? entry->line : section->line;
 }
 
 } // namespace
+
+// `F(member)` is a row's field accessor: &spec.member.
+#define F(member)                                                          \
+    [](ScenarioSpec &spec) -> FieldRef { return &spec.member; }
+
+const std::vector<Setting> &
+settings()
+{
+    constexpr double kAny = std::numeric_limits<double>::max();
+    static const std::vector<Setting> kSettings = {
+        // key, flag, lo, hi, constraint, field[, string check]
+        {"meta.name", nullptr, 0, 0, "", F(name), checkName},
+        {"meta.description", nullptr, 0, 0, "", F(description)},
+        {"meta.seed", "--seed", 0, kMaxSeed, ">= 0", F(seed)},
+        {"device.model", "--device", 0, 0, "", F(deviceModel), checkModel},
+        {"device.population", "--fleet", 1, 1e6, "within [1, 1000000]",
+         F(population)},
+        {"workload.network", "--network", 0, 0, "", F(network),
+         checkNetwork},
+        {"workload.requests", "--requests", 1, 1e9, "within [1, 1e9]",
+         F(requests)},
+        {"workload.train_runs", "--train-runs", 0, 1e6, "within [0, 1e6]",
+         F(trainRuns)},
+        {"workload.accuracy_target_pct", "--accuracy", 0, 100,
+         "within [0, 100]", F(accuracyTargetPct)},
+        {"arrival.rate_x", "--rate-x", 1e-6, 1e6, "> 0", F(arrival.rateX)},
+        {"arrival.rate_rps", "--rate-hz", 1e-6, 1e9, "> 0",
+         F(arrival.rateRps)},
+        {"arrival.burst_period_ms", "--burst-period-ms", -kAny, kAny,
+         "finite", F(arrival.burstPeriodMs)},
+        {"arrival.burst_ms", "--burst-ms", 0, 1e9, ">= 0",
+         F(arrival.burstMs)},
+        {"arrival.burst_mult", "--burst-mult", 1, 1e6, ">= 1",
+         F(arrival.burstMult)},
+        {"arrival.diurnal_period_ms", nullptr, 1e-3, 1e12, "> 0",
+         F(arrival.diurnalPeriodMs)},
+        {"arrival.diurnal_amplitude", nullptr, 0, 0.999999, "within [0, 1)",
+         F(arrival.diurnalAmplitude)},
+        {"qos.queue_depth", "--queue-depth", 1, 1e6, "within [1, 1e6]",
+         F(queueDepth)},
+        {"qos.degrade_depth", "--degrade-depth", 0, 1e6, "within [0, 1e6]",
+         F(degradeDepth)},
+        {"retry.timeout_ms", "--timeout-ms", 1e-3, 1e9, "> 0",
+         F(retry.timeoutMs)},
+        {"retry.max_retries", "--max-retries", 0, 100, "within [0, 100]",
+         F(retry.maxRetries)},
+        {"retry.backoff_ms", "--backoff-ms", 0, 1e9, ">= 0",
+         F(retry.backoffBaseMs)},
+        {"retry.backoff_mult", "--backoff-mult", 1e-6, 1e6, "> 0",
+         F(retry.backoffMultiplier)},
+        {"fault.seed", "--fault-seed", 0, kMaxSeed, ">= 0",
+         F(faults.seed)},
+        {"fault.brownout_start", nullptr, 0, 1e9, ">= 0",
+         F(faults.brownoutWindow.startStep)},
+        {"fault.brownout_duration", nullptr, 1, 1e9,
+         ">= 1 (a zero-duration window never fires)",
+         F(faults.brownoutWindow.durationSteps)},
+        {"fault.brownout_period", nullptr, 0, 1e9, ">= 0",
+         F(faults.brownoutWindow.periodSteps)},
+        {"fault.brownout_slowdown", nullptr, 1, 1e6, ">= 1",
+         F(faults.brownoutSlowdown)},
+        {"fault.brownout_down_prob", nullptr, 0, 1, "within [0, 1]",
+         F(faults.brownoutDownProb)},
+        {"fault.throttle_factor", nullptr, 1e-6, 1, "within (0, 1]",
+         F(faults.throttleFactor)},
+        {"fault.throttle_prob", nullptr, 0, 1, "within [0, 1]",
+         F(faults.throttleProb)},
+        {"fault.transfer_drop_prob", nullptr, 0, 1, "within [0, 1]",
+         F(faults.transferDropProb)},
+        {"fleet.epoch_ms", "--epoch-ms", 1e-3, 1e9, "> 0",
+         F(fleet.epochMs)},
+        {"fleet.q_mode", "--q-mode", 0, 0, "", F(fleet.qMode), checkQMode},
+        {"fleet.merge_epochs", "--merge-epochs", 1, 1e6, "within [1, 1e6]",
+         F(fleet.mergeEpochs)},
+        // SharedInfra needs at least one slot of each.
+        {"infra.edge_capacity", "--edge-capacity", 1, 1e9, ">= 1",
+         F(infra.edgeCapacity)},
+        {"infra.wifi_capacity", "--wifi-capacity", 1, 1e9, ">= 1",
+         F(infra.wifiCapacity)},
+        {"infra.contention", "--contention", 1e-6, 1e6, "> 0",
+         F(infra.contention)},
+        {"infra.brownout_period_ms", "--brownout-period-ms", 0, 1e12, ">= 0",
+         F(infra.brownoutPeriodMs)},
+        {"infra.brownout_ms", "--brownout-ms", 0, 1e12, ">= 0",
+         F(infra.brownoutDurationMs)},
+        {"infra.brownout_slowdown", "--brownout-slowdown", 1, 1e6, ">= 1",
+         F(infra.brownoutSlowdown)},
+        {"infra.outage_period_ms", "--outage-period-ms", 0, 1e12, ">= 0",
+         F(infra.outagePeriodMs)},
+        {"infra.outage_ms", "--outage-ms", 0, 1e12, ">= 0",
+         F(infra.outageDurationMs)},
+        {"churn.crash_prob", "--churn-crash-prob", 0, 1, "within [0, 1]",
+         F(churn.crashProb)},
+        {"churn.leave_prob", "--churn-leave-prob", 0, 1, "within [0, 1]",
+         F(churn.leaveProb)},
+        {"churn.down_epochs", "--churn-down-epochs", 1, 1e6,
+         "within [1, 1e6]", F(churn.downEpochs)},
+        {"churn.initial_devices", "--churn-initial-devices", 0, 1e6,
+         "within [0, 1e6]", F(churn.initialDevices)},
+        {"churn.join_every_epochs", "--churn-join-every", 1, 1e6,
+         "within [1, 1e6]", F(churn.joinEveryEpochs)},
+    };
+    return kSettings;
+}
+
+#undef F
 
 bool
 ScenarioSpec::isSet(const std::string &dottedKey) const
@@ -891,22 +974,8 @@ bindSpec(const Doc &doc, Diagnostics &diags)
         }
         Binder binder(section, doc.file, *sectionSchema, diags,
                       &spec.explicitKeys);
-        if (section.name == "meta") {
-            bindMeta(binder, spec);
-        } else if (section.name == "device") {
-            bindDevice(binder, spec);
-        } else if (section.name == "workload") {
-            bindWorkload(binder, spec);
-        } else if (section.name == "env") {
-            bindEnv(section, binder, doc.file, spec, diags);
-        } else if (section.name == "arrival") {
-            bindArrival(binder, doc.file, spec, diags);
-        } else if (section.name == "qos") {
-            bindQos(binder, spec);
-        } else if (section.name == "retry") {
-            bindRetry(binder, spec);
-        } else if (section.name == "fault") {
-            bindFault(binder, doc.file, spec, diags);
+        if (section.name == "env") {
+            bindEnv(section, doc.file, spec, diags);
         } else if (section.name == "fault.blackout") {
             bindBlackout(binder, doc.file, spec, diags, section.line);
         } else if (section.name == "fault.fade") {
@@ -917,32 +986,16 @@ bindSpec(const Doc &doc, Diagnostics &diags)
         } else if (section.name == "interference.segment") {
             bindInterferenceSegment(binder, doc.file, spec, diags,
                                     section.line);
-        } else if (section.name == "fleet") {
-            bindFleet(binder, spec);
-        } else if (section.name == "infra") {
-            bindInfra(binder, spec);
-        } else if (section.name == "churn") {
-            bindChurn(binder, spec);
+        } else {
+            bindScalars(binder, section.name, spec);
         }
     }
 
-    // Fleet knobs describe shared infrastructure (and churn describes
-    // fleet membership); on a population of one there is nothing to
-    // share and the keys would silently do nothing — reject instead.
-    if (spec.population <= 1) {
-        for (const std::string &key : spec.explicitKeys) {
-            if (key.rfind("fleet.", 0) == 0 || key.rfind("infra.", 0) == 0
-                || key.rfind("churn.", 0) == 0) {
-                const std::string sectionName =
-                    key.substr(0, key.find('.'));
-                const Section *section = doc.find(sectionName);
-                diags.error(doc.file,
-                            section != nullptr ? section->line : 0,
-                            key + " requires device.population > 1");
-                break;
-            }
-        }
-    }
+    checkCrossKeys(
+        spec, [](const std::string &key) { return key; },
+        [&](const std::string &key, const std::string &message) {
+            diags.error(doc.file, lineOf(doc, key), message);
+        });
 
     // The fault plan reports under the scenario's name, exactly like a
     // --faults preset reports under its preset name.
@@ -950,6 +1003,49 @@ bindSpec(const Doc &doc, Diagnostics &diags)
         spec.faults.name = spec.name;
     }
     return spec;
+}
+
+void
+applyFlags(const Args &args, ScenarioSpec &spec, Diagnostics &diags,
+           const FlagRenames &renames)
+{
+    std::map<std::string, std::string> spelling; // key -> its flag
+    std::set<std::string> fromFlags;
+    for (const Setting &setting : settings()) {
+        if (setting.flag == nullptr) {
+            continue;
+        }
+        const auto renamed = renames.find(setting.flag);
+        const std::string flag =
+            renamed != renames.end() ? renamed->second : setting.flag;
+        spelling[setting.key] = flag;
+        if (!args.has(flag)) {
+            continue;
+        }
+        const bool applied = std::visit(
+            [&](auto *field) {
+                return overlay(args, flag, setting, spec, field, diags);
+            },
+            setting.field(spec));
+        if (applied) {
+            fromFlags.insert(setting.key);
+            spec.explicitKeys.insert(setting.key);
+        }
+    }
+    // Messages name a key by the flag that set it, by the file that
+    // set it, or else by its flag spelling when it has one.
+    checkCrossKeys(
+        spec,
+        [&](const std::string &key) {
+            const auto flag = spelling.find(key);
+            if (spec.isSet(key) && fromFlags.count(key) == 0) {
+                return key + " (from " + spec.sourceFile + ")";
+            }
+            return flag != spelling.end() ? flag->second : key;
+        },
+        [&](const std::string &, const std::string &message) {
+            diags.error("", 0, message);
+        });
 }
 
 std::string
@@ -971,7 +1067,7 @@ canonicalText(const Doc &doc)
             }
             return;
         }
-        for (const char *key : sectionSchema.keys) {
+        for (const std::string &key : sectionSchema.keys) {
             const Entry *entry = section.find(key);
             if (entry != nullptr) {
                 os << key << " = " << entry->value.render() << "\n";

@@ -8,11 +8,15 @@
  * FaultPlan presets), RSSI/mobility and interference segments,
  * retry/QoS knobs, and shared-infrastructure contention for fleets.
  *
- * bindSpec is the strict validator: it accumulates actionable
- * `file:line:` diagnostics (unknown sections/keys, type mismatches,
- * out-of-range or non-finite values, duplicate keys) instead of
- * fataling on the first, and only a Doc that binds with zero
- * diagnostics is considered a valid scenario.
+ * Every scalar setting is declared once, in the settings() table: its
+ * file key, its CLI flag, its legal range and its ScenarioSpec field.
+ * Both routes into a spec read that table. bindSpec is the strict file
+ * validator: it accumulates actionable `file:line:` diagnostics
+ * (unknown sections/keys, type mismatches, out-of-range or non-finite
+ * values, duplicate keys) instead of fataling on the first, and only a
+ * Doc that binds with zero diagnostics is a valid scenario. applyFlags
+ * overlays command-line flags with the same ranges, and both run the
+ * same cross-key rules.
  *
  * canonicalText re-emits a validated Doc in a fixed section/key order
  * with normalized formatting; parse -> canonicalize -> reparse is a
@@ -23,8 +27,10 @@
 #define AUTOSCALE_SCENARIO_SPEC_H_
 
 #include <cstdint>
+#include <map>
 #include <set>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "env/scenario.h"
@@ -33,6 +39,7 @@
 #include "scenario/parser.h"
 #include "serve/churn.h"
 #include "serve/shared_infra.h"
+#include "util/args.h"
 
 namespace autoscale::scenario {
 
@@ -99,11 +106,12 @@ struct ScenarioSpec {
     serve::ChurnConfig churn;
 
     /**
-     * Dotted keys the file set explicitly ("arrival.rate_x",
-     * "meta.seed", ...). Repeatable sections record their section name
-     * ("fault.blackout"). This is what makes file-vs-flag conflict
-     * detection exact: a key is a conflict candidate only if the file
-     * actually wrote it, never because it happens to equal a default.
+     * Dotted keys set explicitly ("arrival.rate_x", "meta.seed", ...):
+     * by the file, and after applyFlags also by flags. Repeatable
+     * sections record their section name ("fault.blackout"). This is
+     * what makes file-vs-flag conflict detection exact: a key is a
+     * conflict candidate only if the file actually wrote it, never
+     * because it happens to equal a default.
      */
     std::set<std::string> explicitKeys;
 
@@ -114,12 +122,48 @@ struct ScenarioSpec {
     bool declaresFaults() const;
 };
 
+/** Where a setting lives in a ScenarioSpec; the pointer type is its kind. */
+using FieldRef = std::variant<double *, int *, std::int64_t *,
+                              std::uint64_t *, std::string *>;
+
+/** One row of the settings table: a scalar key of a singleton section. */
+struct Setting {
+    const char *key;        ///< Dotted file key ("arrival.rate_x").
+    const char *flag;       ///< CLI spelling ("--rate-x"), or nullptr.
+    double lo;              ///< Inclusive legal range (numbers only).
+    double hi;
+    const char *constraint; ///< The range as diagnostics spell it.
+    FieldRef (*field)(ScenarioSpec &spec);
+    /** Strings only: the complaint about a value ("" when legal). */
+    std::string (*check)(const std::string &value) = nullptr;
+};
+
+/** The settings table, in canonical key order. */
+const std::vector<Setting> &settings();
+
 /**
  * Bind and validate a parsed Doc. Every schema violation is reported
  * into @p diags (never fatals, never throws); the returned spec is
  * meaningful only when @p diags stays ok().
  */
 ScenarioSpec bindSpec(const Doc &doc, Diagnostics &diags);
+
+/** A command's own spelling of table flags: table flag -> spelling. */
+using FlagRenames = std::map<std::string, std::string>;
+
+/**
+ * Overlay the table flags present in @p args onto @p spec: the spec a
+ * --scenario file bound to, or a default-constructed one. Each flag
+ * value is checked against its row's range. A flag that restates a
+ * file-set key is fine, and a different value is a conflict; doubles
+ * compare through formatDouble, so "4" restates "4.0". Applied keys
+ * join spec.explicitKeys, and the cross-key rules then run over the
+ * merged spec. Errors go to @p diags with an empty file and line 0;
+ * @p spec holds only the valid flags. @p renames respells table flags
+ * for one command (train's --runs for --train-runs).
+ */
+void applyFlags(const Args &args, ScenarioSpec &spec, Diagnostics &diags,
+                const FlagRenames &renames = {});
 
 /**
  * Canonical text of a validated Doc: comments dropped, sections and

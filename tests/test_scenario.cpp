@@ -4,7 +4,8 @@
  * diagnostics, the parse -> canonicalize -> reparse fixed point over
  * the whole scenarios/ library, [variant] expansion with
  * replicateSeed-derived seeds, field-by-field equivalence between the
- * library's preset scenarios and FaultPlan::fromName, the
+ * library's preset scenarios and FaultPlan::fromName, the flag overlay
+ * (applyFlags) against the same settings table as the file route, the
  * malformed-input corpus (tests/scenario_corpus *.bad files, each pinning an
  * expected-error substring), and a seeded mutation fuzzer asserting
  * the loader never crashes and every diagnostic carries file:line.
@@ -13,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -25,6 +27,8 @@
 #include "scenario/parser.h"
 #include "scenario/spec.h"
 #include "scenario/variants.h"
+#include "util/args.h"
+#include "util/format.h"
 #include "util/rng.h"
 
 #ifndef AUTOSCALE_SCENARIOS_DIR
@@ -519,6 +523,203 @@ TEST(ScenarioVariants, AxisErrorsAreReportedPerLine)
         EXPECT_GE(diag.line, 2);
         EXPECT_LE(diag.line, 5);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Flag overlay (applyFlags): the command-line route into a spec reads
+// the same settings table, ranges and cross-key rules as the file.
+
+/** Spec bound from scenario @p text; the test fails if it is invalid. */
+ScenarioSpec
+specFromText(const std::string &text)
+{
+    Diagnostics diags;
+    const std::vector<LoadedScenario> loaded =
+        scenario::loadScenarioText(text, "mem.scn", diags);
+    EXPECT_TRUE(diags.ok()) << diags.render();
+    return loaded.empty() ? ScenarioSpec{} : loaded.front().spec;
+}
+
+/** Diagnostics of overlaying @p flags onto @p spec. */
+Diagnostics
+overlay(ScenarioSpec &spec, std::vector<std::string> flags,
+        const scenario::FlagRenames &renames = {})
+{
+    flags.insert(flags.begin(), "autoscale_cli");
+    Diagnostics diags;
+    scenario::applyFlags(Args(flags), spec, diags, renames);
+    return diags;
+}
+
+TEST(ScenarioFlags, RestatedValuesAreAcceptedAndDifferentOnesConflict)
+{
+    const std::string text = "[workload]\nrequests = 300\n"
+                             "[arrival]\nrate_x = 3\n";
+    ScenarioSpec restated = specFromText(text);
+    EXPECT_TRUE(overlay(restated, {"--requests", "300", "--rate-x", "3.0"})
+                    .ok());
+    EXPECT_EQ(restated.requests, 300);
+
+    ScenarioSpec conflicting = specFromText(text);
+    const Diagnostics diags = overlay(conflicting, {"--requests", "999"});
+    ASSERT_EQ(diags.diags().size(), 1u);
+    EXPECT_EQ(diags.diags()[0].message,
+              "--requests 999 conflicts with workload.requests = 300 from "
+              "mem.scn (drop the flag or change the file)");
+    EXPECT_EQ(conflicting.requests, 300) << "a rejected flag never lands";
+
+    // The other spelling of the arrival rate is the same setting.
+    ScenarioSpec crossed = specFromText(text);
+    const Diagnostics cross = overlay(crossed, {"--rate-hz", "50"});
+    ASSERT_FALSE(cross.ok());
+    EXPECT_NE(cross.render().find("--rate-hz and arrival.rate_x (from "
+                                  "mem.scn) are mutually exclusive"),
+              std::string::npos)
+        << cross.render();
+}
+
+TEST(ScenarioFlags, FlagsFillSilentKeysAndFileKeysHold)
+{
+    ScenarioSpec spec = specFromText("[workload]\nrequests = 300\n");
+    ASSERT_TRUE(overlay(spec, {"--queue-depth", "16"}).ok());
+    EXPECT_EQ(spec.requests, 300);
+    EXPECT_EQ(spec.queueDepth, 16);
+    EXPECT_TRUE(spec.isSet("qos.queue_depth"));
+    EXPECT_FALSE(spec.isSet("qos.degrade_depth"));
+}
+
+TEST(ScenarioFlags, RenamesRespellOneCommandsFlag)
+{
+    const scenario::FlagRenames train = {{"--train-runs", "--runs"}};
+    ScenarioSpec spec;
+    ASSERT_TRUE(overlay(spec, {"--runs", "7", "--train-runs", "9"}, train)
+                    .ok());
+    EXPECT_EQ(spec.trainRuns, 7);
+    ScenarioSpec evaluate;
+    ASSERT_TRUE(overlay(evaluate, {"--runs", "7", "--train-runs", "9"})
+                    .ok());
+    EXPECT_EQ(evaluate.trainRuns, 9);
+}
+
+TEST(ScenarioFlags, SeedsAreSixtyFourBitOnBothRoutes)
+{
+    ScenarioSpec spec =
+        specFromText("[meta]\nseed = 3000000000\n");
+    EXPECT_TRUE(overlay(spec, {"--seed", "3000000000"}).ok());
+    EXPECT_EQ(spec.seed, 3000000000u);
+    ScenarioSpec bare;
+    ASSERT_TRUE(overlay(bare, {"--seed", "3000000000"}).ok());
+    EXPECT_EQ(bare.seed, 3000000000u);
+}
+
+TEST(ScenarioFlags, FleetKeysNeedAPopulationOnBothRoutes)
+{
+    ScenarioSpec single;
+    const Diagnostics diags = overlay(single, {"--q-mode", "shared"});
+    ASSERT_FALSE(diags.ok());
+    EXPECT_EQ(diags.diags().back().message,
+              "--q-mode requires --fleet > 1");
+    ScenarioSpec fleet;
+    EXPECT_TRUE(overlay(fleet, {"--fleet", "2", "--q-mode", "shared"}).ok());
+    EXPECT_EQ(fleet.fleet.qMode, "shared");
+}
+
+/** Whether the file route accepts `key = value` (@p value rendered). */
+bool
+fileAccepts(const std::string &key, const std::string &value)
+{
+    const std::string section = key.substr(0, key.find('.'));
+    std::string text;
+    if (section == "fleet" || section == "infra" || section == "churn") {
+        text += "[device]\npopulation = 2\n";
+    }
+    text += "[" + section + "]\n" + key.substr(key.find('.') + 1) + " = "
+        + value + "\n";
+    Diagnostics diags;
+    scenario::loadScenarioText(text, "row.scn", diags);
+    return diags.ok();
+}
+
+/** Whether the flag route accepts `flag value` on the same footing. */
+bool
+flagAccepts(const std::string &key, const std::string &flag,
+            const std::string &value)
+{
+    const std::string section = key.substr(0, key.find('.'));
+    std::vector<std::string> flags;
+    if (section == "fleet" || section == "infra" || section == "churn") {
+        flags = {"--fleet", "2"};
+    }
+    flags.push_back(flag);
+    flags.push_back(value);
+    ScenarioSpec spec;
+    return overlay(spec, flags).ok();
+}
+
+TEST(ScenarioFlags, EveryFlagRowAcceptsExactlyWhatItsFileKeyAccepts)
+{
+    int rows = 0;
+    for (const scenario::Setting &setting : scenario::settings()) {
+        if (setting.flag == nullptr) {
+            continue;
+        }
+        ++rows;
+        SCOPED_TRACE(setting.key);
+        // Each value as the file spells it and as the flag spells it.
+        std::vector<std::pair<std::string, std::string>> inside;
+        std::vector<std::pair<std::string, std::string>> outside;
+        ScenarioSpec defaults;
+        std::visit(
+            [&](auto *field) {
+                using T = std::remove_pointer_t<decltype(field)>;
+                if constexpr (std::is_same_v<T, std::string>) {
+                    inside.push_back({"\"" + *field + "\"", *field});
+                    outside.push_back({"\"no-such-value\"",
+                                       "no-such-value"});
+                } else if constexpr (std::is_same_v<T, double>) {
+                    const double inf =
+                        std::numeric_limits<double>::infinity();
+                    for (const double v : {setting.lo, setting.hi}) {
+                        inside.push_back({formatDouble(v), formatDouble(v)});
+                    }
+                    for (const double v : {std::nextafter(setting.lo, -inf),
+                                           std::nextafter(setting.hi, inf)}) {
+                        if (std::isfinite(v)) {
+                            outside.push_back(
+                                {formatDouble(v), formatDouble(v)});
+                        }
+                    }
+                } else {
+                    const auto lo = static_cast<long long>(setting.lo);
+                    const auto hi = static_cast<long long>(setting.hi);
+                    for (const long long v : {lo, hi}) {
+                        inside.push_back(
+                            {std::to_string(v), std::to_string(v)});
+                    }
+                    for (const long long v : {lo - 1, hi + 1}) {
+                        outside.push_back(
+                            {std::to_string(v), std::to_string(v)});
+                    }
+                }
+            },
+            setting.field(defaults));
+        // The low edge is legal on its own; the high edge may break a
+        // cross-key rule against a default (burst_ms above the default
+        // burst period), which both routes then share.
+        EXPECT_TRUE(fileAccepts(setting.key, inside.front().first))
+            << inside.front().first;
+        for (const auto &[fileText, flagText] : inside) {
+            EXPECT_EQ(flagAccepts(setting.key, setting.flag, flagText),
+                      fileAccepts(setting.key, fileText))
+                << fileText;
+        }
+        for (const auto &[fileText, flagText] : outside) {
+            EXPECT_FALSE(fileAccepts(setting.key, fileText)) << fileText;
+            EXPECT_FALSE(flagAccepts(setting.key, setting.flag, flagText))
+                << flagText;
+        }
+    }
+    EXPECT_GE(rows, 30) << "the table lost its flag rows";
 }
 
 // ---------------------------------------------------------------------------

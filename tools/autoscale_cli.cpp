@@ -34,7 +34,6 @@
 #include "obs/json.h"
 #include "obs/obs_output.h"
 #include "platform/device_zoo.h"
-#include "scenario/apply.h"
 #include "scenario/load.h"
 #include "serve/fleet.h"
 #include "serve/server.h"
@@ -84,22 +83,8 @@ scenariosFromArgs(const Args &args)
 }
 
 /**
- * Fault plan from `--faults NAME` (none | blackout | flaky-wifi |
- * cloud-brownout) with optional `--fault-seed N` override.
- */
-fault::FaultPlan
-faultsFromArgs(const Args &args)
-{
-    fault::FaultPlan plan =
-        fault::FaultPlan::fromName(args.get("--faults", "none"));
-    plan.seed = static_cast<std::uint64_t>(
-        args.getInt("--fault-seed", static_cast<int>(plan.seed)));
-    return plan;
-}
-
-/**
- * Strict numeric flag parsers for flags whose silent fallback would
- * change failure semantics (the retry/fault knobs): a present flag
+ * Strict numeric flag parsers for serve knobs outside the settings
+ * table (batch, breaker, checkpoint and shard knobs): a present flag
  * whose value is missing, malformed, has trailing garbage, or
  * overflows is a usage error, not a default.
  */
@@ -132,16 +117,12 @@ scenarioFileBase(const std::string &path)
 
 /**
  * Load `--scenario FILE` (with `--variant N` selection when the file
- * sweeps) into a typed, validated spec. Returns nullopt for an empty
- * @p value. Every diagnostic prints before the fatal, so a broken
- * file reports all its problems in one run.
+ * sweeps) into a typed, validated spec. Every diagnostic prints before
+ * the fatal, so a broken file reports all its problems in one run.
  */
-std::optional<scenario::LoadedScenario>
+scenario::ScenarioSpec
 loadScenarioArg(const Args &args, const std::string &value)
 {
-    if (value.empty()) {
-        return std::nullopt;
-    }
     scenario::Diagnostics diags;
     std::vector<scenario::LoadedScenario> loaded =
         scenario::loadScenarioFile(value, diags);
@@ -165,33 +146,56 @@ loadScenarioArg(const Args &args, const std::string &value)
               + " out of range; '" + value + "' expands to "
               + std::to_string(loaded.size()) + " variant(s)");
     }
-    return loaded[static_cast<std::size_t>(variant)];
+    return loaded[static_cast<std::size_t>(variant)].spec;
 }
 
 /**
- * Fault plan under a (possibly absent) scenario file. A file that
- * declares fault content owns the plan — mixing it with a `--faults`
- * preset is a conflict, not a merge. `--fault-seed` still resolves
- * against `fault.seed` like any scalar.
+ * The one resolved spec of a command: the `--scenario FILE` spec (a
+ * default-constructed one for an empty @p path) with every table flag
+ * present overlaid (scenario::applyFlags). A malformed or out-of-range
+ * flag, a flag that conflicts with the file, and a broken cross-key
+ * rule are all usage errors.
+ */
+scenario::ScenarioSpec
+resolveSpec(const Args &args, const std::string &path,
+            const scenario::FlagRenames &renames = {})
+{
+    scenario::ScenarioSpec spec =
+        path.empty() ? scenario::ScenarioSpec{} : loadScenarioArg(args, path);
+    scenario::Diagnostics diags;
+    scenario::applyFlags(args, spec, diags, renames);
+    const std::vector<scenario::Diag> &errors = diags.diags();
+    for (std::size_t i = 0; i + 1 < errors.size(); ++i) {
+        std::cerr << "error: " << errors[i].message << "\n";
+    }
+    if (!errors.empty()) {
+        fatal(errors.back().message);
+    }
+    return spec;
+}
+
+/**
+ * Fault plan of a resolved spec. A file that declares fault content
+ * owns the plan — mixing it with a `--faults` preset is a conflict,
+ * not a merge. A set `fault.seed` (file or `--fault-seed`) reseeds
+ * either plan.
  */
 fault::FaultPlan
-mergeFaults(const Args &args, const scenario::SettingsMerger &merge)
+mergeFaults(const Args &args, const scenario::ScenarioSpec &spec)
 {
-    const scenario::ScenarioSpec *spec = merge.spec();
     fault::FaultPlan plan;
-    if (spec != nullptr && spec->faults.enabled()) {
+    if (spec.faults.enabled()) {
         if (args.has("--faults")) {
             fatal("--faults conflicts with the fault sections of "
-                  + spec->sourceFile
-                  + " (drop the flag or the sections)");
+                  + spec.sourceFile + " (drop the flag or the sections)");
         }
-        plan = spec->faults;
+        plan = spec.faults;
     } else {
         plan = fault::FaultPlan::fromName(args.get("--faults", "none"));
     }
-    plan.seed = merge.resolveSeed(
-        "--fault-seed", "fault.seed",
-        spec != nullptr ? spec->faults.seed : plan.seed, plan.seed);
+    if (spec.isSet("fault.seed")) {
+        plan.seed = spec.faults.seed;
+    }
     return plan;
 }
 
@@ -200,71 +204,23 @@ mergeFaults(const Args &args, const scenario::SettingsMerger &merge)
  * `env.base`, conflict-checked as whole lists.
  */
 std::vector<env::ScenarioId>
-mergeScenarios(const Args &args, const scenario::SettingsMerger &merge)
+mergeScenarios(const Args &args, const scenario::ScenarioSpec &spec)
 {
-    const scenario::ScenarioSpec *spec = merge.spec();
-    if (spec == nullptr || !spec->isSet("env.base")) {
+    if (!spec.isSet("env.base")) {
         return scenariosFromArgs(args);
     }
-    if (args.has("--scenarios")) {
-        const std::vector<env::ScenarioId> fromFlag =
-            scenariosFromArgs(args);
-        if (fromFlag != spec->envBases) {
-            fatal("--scenarios " + args.get("--scenarios")
-                  + " conflicts with env.base from " + spec->sourceFile
-                  + " (drop the flag or change the file)");
-        }
+    if (args.has("--scenarios")
+        && scenariosFromArgs(args) != spec.envBases) {
+        fatal("--scenarios " + args.get("--scenarios")
+              + " conflicts with env.base from " + spec.sourceFile
+              + " (drop the flag or change the file)");
     }
-    return spec->envBases;
-}
-
-/**
- * Retry policy from `--timeout-ms` / `--max-retries` / `--backoff-ms` /
- * `--backoff-mult`, resolved against the file's [retry] section. All
- * four fail fast on malformed or out-of-range values: a typo here
- * would silently change what "failure" costs.
- */
-fault::RetryPolicy
-retryFromArgs(const Args &args, const scenario::SettingsMerger &merge)
-{
-    const fault::RetryPolicy base = merge.spec() != nullptr
-        ? merge.spec()->retry
-        : fault::RetryPolicy{};
-    fault::RetryPolicy retry;
-    retry.timeoutMs = merge.resolveDouble(
-        "--timeout-ms", "retry.timeout_ms", base.timeoutMs,
-        retry.timeoutMs);
-    retry.maxRetries = merge.resolveInt(
-        "--max-retries", "retry.max_retries", base.maxRetries,
-        retry.maxRetries);
-    retry.backoffBaseMs = merge.resolveDouble(
-        "--backoff-ms", "retry.backoff_ms", base.backoffBaseMs,
-        retry.backoffBaseMs);
-    retry.backoffMultiplier = merge.resolveDouble(
-        "--backoff-mult", "retry.backoff_mult", base.backoffMultiplier,
-        retry.backoffMultiplier);
-    if (retry.timeoutMs <= 0.0) {
-        fatal("--timeout-ms must be positive");
-    }
-    if (retry.maxRetries < 0) {
-        fatal("--max-retries must be >= 0");
-    }
-    if (retry.backoffBaseMs < 0.0) {
-        fatal("--backoff-ms must be >= 0");
-    }
-    if (retry.backoffMultiplier <= 0.0) {
-        fatal("--backoff-mult must be positive");
-    }
-    return retry;
+    return spec.envBases;
 }
 
 sim::InferenceSimulator
-simFromArgs(const Args &args, const scenario::SettingsMerger &merge)
+simFromArgs(const Args &args, const std::string &device)
 {
-    const std::string device = merge.resolveString(
-        "--device", "device.model",
-        merge.spec() != nullptr ? merge.spec()->deviceModel : "",
-        "Mi8Pro");
     sim::InferenceSimulator sim = sim::InferenceSimulator::makeDefault(
         platform::makePhone(device));
     // --direct bypasses the precomputed cost tables (DESIGN.md section
@@ -280,7 +236,7 @@ simFromArgs(const Args &args, const scenario::SettingsMerger &merge)
 sim::InferenceSimulator
 simFromArgs(const Args &args)
 {
-    return simFromArgs(args, scenario::SettingsMerger(args, nullptr));
+    return simFromArgs(args, args.get("--device", "Mi8Pro"));
 }
 
 /**
@@ -426,31 +382,24 @@ cmdDecide(const Args &args)
 int
 cmdTrain(const Args &args)
 {
-    const std::optional<scenario::LoadedScenario> loaded =
-        loadScenarioArg(args, args.get("--scenario"));
-    const scenario::ScenarioSpec *spec =
-        loaded ? &loaded->spec : nullptr;
-    const scenario::SettingsMerger merge(args, spec);
+    // train spells workload.train_runs `--runs`.
+    const scenario::ScenarioSpec spec = resolveSpec(
+        args, args.get("--scenario"), {{"--train-runs", "--runs"}});
 
-    sim::InferenceSimulator sim = simFromArgs(args, merge);
+    sim::InferenceSimulator sim = simFromArgs(args, spec.deviceModel);
     const std::vector<env::ScenarioId> scenarios =
-        mergeScenarios(args, merge);
-    const int runs = merge.resolveInt(
-        "--runs", "workload.train_runs",
-        spec != nullptr ? spec->trainRuns : 400, 400);
-    const std::uint64_t seed = merge.resolveSeed(
-        "--seed", "meta.seed", spec != nullptr ? spec->seed : 1, 1);
-    const double accuracy = merge.resolveDouble(
-        "--accuracy", "workload.accuracy_target_pct",
-        spec != nullptr ? spec->accuracyTargetPct : 50.0, 50.0);
+        mergeScenarios(args, spec);
+    const int runs = spec.trainRuns >= 0 ? spec.trainRuns : 400;
+    const std::uint64_t seed = spec.seed;
+    const double accuracy = spec.accuracyTargetPct;
 
     obs::ObsOutput obs_out(obs::ObsConfig::fromArgs(args));
     if (obs_out.config().metering()) {
         sim.setObserver(&obs_out.metrics());
     }
 
-    const fault::FaultPlan faults = mergeFaults(args, merge);
-    const fault::RetryPolicy retry = retryFromArgs(args, merge);
+    const fault::FaultPlan faults = mergeFaults(args, spec);
+    const fault::RetryPolicy &retry = spec.retry;
     auto policy = harness::makeAutoScalePolicy(sim, seed);
     Rng rng(seed ^ 0x7ea1ULL);
     std::cout << "Training on " << sim.localDevice().name() << " across "
@@ -483,23 +432,15 @@ cmdTrain(const Args &args)
 int
 cmdEvaluate(const Args &args)
 {
-    const std::optional<scenario::LoadedScenario> loaded =
-        loadScenarioArg(args, args.get("--scenario"));
-    const scenario::ScenarioSpec *spec =
-        loaded ? &loaded->spec : nullptr;
-    const scenario::SettingsMerger merge(args, spec);
+    const scenario::ScenarioSpec spec =
+        resolveSpec(args, args.get("--scenario"));
 
-    sim::InferenceSimulator sim = simFromArgs(args, merge);
+    sim::InferenceSimulator sim = simFromArgs(args, spec.deviceModel);
     const std::vector<env::ScenarioId> scenarios =
-        mergeScenarios(args, merge);
-    const std::uint64_t seed = merge.resolveSeed(
-        "--seed", "meta.seed", spec != nullptr ? spec->seed : 1, 1);
-    const int trainRuns = merge.resolveInt(
-        "--train-runs", "workload.train_runs",
-        spec != nullptr ? spec->trainRuns : 400, 400);
-    const double accuracy = merge.resolveDouble(
-        "--accuracy", "workload.accuracy_target_pct",
-        spec != nullptr ? spec->accuracyTargetPct : 50.0, 50.0);
+        mergeScenarios(args, spec);
+    const std::uint64_t seed = spec.seed;
+    const int trainRuns = spec.trainRuns >= 0 ? spec.trainRuns : 400;
+    const double accuracy = spec.accuracyTargetPct;
 
     // The simulator-level counters commute (integer adds), so the
     // shared observer stays deterministic even with concurrent
@@ -509,8 +450,8 @@ cmdEvaluate(const Args &args)
         sim.setObserver(&obs_out.metrics());
     }
 
-    const fault::FaultPlan faults = mergeFaults(args, merge);
-    const fault::RetryPolicy retry = retryFromArgs(args, merge);
+    const fault::FaultPlan faults = mergeFaults(args, spec);
+    const fault::RetryPolicy &retry = spec.retry;
 
     auto autoscale_policy = harness::makeAutoScalePolicy(sim, seed);
     const std::string qtable = args.get("--qtable");
@@ -652,15 +593,12 @@ cmdEvaluate(const Args &args)
 int
 cmdLoo(const Args &args)
 {
-    const std::optional<scenario::LoadedScenario> loaded =
-        loadScenarioArg(args, args.get("--scenario"));
-    const scenario::ScenarioSpec *spec =
-        loaded ? &loaded->spec : nullptr;
-    const scenario::SettingsMerger merge(args, spec);
+    const scenario::ScenarioSpec spec =
+        resolveSpec(args, args.get("--scenario"));
 
-    sim::InferenceSimulator sim = simFromArgs(args, merge);
+    sim::InferenceSimulator sim = simFromArgs(args, spec.deviceModel);
     const std::vector<env::ScenarioId> scenarios =
-        mergeScenarios(args, merge);
+        mergeScenarios(args, spec);
     const int jobs = jobsFromArgs(args);
 
     obs::ObsOutput obs_out(obs::ObsConfig::fromArgs(args));
@@ -671,15 +609,12 @@ cmdLoo(const Args &args)
     harness::EvalOptions options;
     options.runsPerCombo = args.getInt("--runs", 30);
     options.looWarmupRuns = args.getInt("--warmup", 150);
-    options.accuracyTargetPct = merge.resolveDouble(
-        "--accuracy", "workload.accuracy_target_pct",
-        spec != nullptr ? spec->accuracyTargetPct : 50.0, 50.0);
-    options.seed = merge.resolveSeed(
-        "--seed", "meta.seed", spec != nullptr ? spec->seed : 1, 1);
+    options.accuracyTargetPct = spec.accuracyTargetPct;
+    options.seed = spec.seed;
     options.jobs = jobs;
     options.obs = obs_out.context();
-    options.faults = mergeFaults(args, merge);
-    options.retry = retryFromArgs(args, merge);
+    options.faults = mergeFaults(args, spec);
+    options.retry = spec.retry;
 
     std::cout << "Leave-one-out over " << harness::allZooNetworks().size()
               << " workloads on " << sim.localDevice().name() << ", "
@@ -687,9 +622,7 @@ cmdLoo(const Args &args)
               << " worker(s)...\n";
     const harness::RunStats loo = harness::evaluateAutoScaleLoo(
         sim, harness::allZooNetworks(), scenarios,
-        merge.resolveInt("--train-runs", "workload.train_runs",
-                         spec != nullptr ? spec->trainRuns : 400, 400),
-        options);
+        spec.trainRuns >= 0 ? spec.trainRuns : 400, options);
 
     Table table({"Metric", "Value"});
     table.addRow({"Evaluated inferences", std::to_string(loo.count())});
@@ -720,19 +653,6 @@ cmdLoo(const Args &args)
     return 0;
 }
 
-/** Single scenario from @p flag ("S1".."D4"). */
-env::ScenarioId
-scenarioFromArg(const Args &args, const char *flag, const char *fallback)
-{
-    const std::string name = args.get(flag, fallback);
-    for (const env::ScenarioId id : env::allScenarios()) {
-        if (name == env::scenarioName(id)) {
-            return id;
-        }
-    }
-    fatal("unknown scenario '" + name + "' (use S1-S5, D1-D4)");
-}
-
 int
 cmdServe(const Args &args)
 {
@@ -740,60 +660,43 @@ cmdServe(const Args &args)
     // keeps its historical meaning; anything else is a scenario file
     // path (scenarios/*.scn).
     const std::string scenarioArg = args.get("--scenario", "D3");
-    bool isTableIvName = false;
+    std::optional<env::ScenarioId> tableIv;
     for (const env::ScenarioId id : env::allScenarios()) {
         if (scenarioArg == env::scenarioName(id)) {
-            isTableIvName = true;
-            break;
+            tableIv = id;
         }
     }
-    const std::optional<scenario::LoadedScenario> loaded =
-        isTableIvName ? std::nullopt : loadScenarioArg(args, scenarioArg);
-    const scenario::ScenarioSpec *spec =
-        loaded ? &loaded->spec : nullptr;
-    const scenario::SettingsMerger merge(args, spec);
+    scenario::ScenarioSpec spec =
+        resolveSpec(args, tableIv ? "" : scenarioArg);
+    if (tableIv) {
+        spec.envBases = {*tableIv};
+    }
 
-    sim::InferenceSimulator sim = simFromArgs(args, merge);
+    sim::InferenceSimulator sim = simFromArgs(args, spec.deviceModel);
     obs::ObsOutput obs_out(obs::ObsConfig::fromArgs(args));
     if (obs_out.config().metering()) {
         sim.setObserver(&obs_out.metrics());
     }
 
     serve::ServeConfig config;
-    if (spec != nullptr) {
-        if (spec->envBases.size() != 1) {
-            fatal("serve replays one environment, but " + scenarioArg
-                  + " lists " + std::to_string(spec->envBases.size())
-                  + " env.base entries (sweep them with [variant])");
-        }
-        config.scenario = spec->envBases.front();
-    } else {
-        config.scenario = scenarioFromArg(args, "--scenario", "D3");
+    if (spec.envBases.size() != 1) {
+        fatal("serve replays one environment, but " + scenarioArg
+              + " lists " + std::to_string(spec.envBases.size())
+              + " env.base entries (sweep them with [variant])");
     }
-    config.faults = mergeFaults(args, merge);
-    config.retry = retryFromArgs(args, merge);
-    config.totalRequests = merge.resolveInt(
-        "--requests", "workload.requests",
-        spec != nullptr ? spec->requests : 1000, 1000);
-    if (config.totalRequests <= 0) {
-        fatal("--requests must be positive");
-    }
+    config.scenario = spec.envBases.front();
+    config.faults = mergeFaults(args, spec);
+    config.retry = spec.retry;
+    config.totalRequests = spec.requests;
     config.policyName = args.get("--policy", "autoscale");
-    config.networkFilter = merge.resolveString(
-        "--network", "workload.network",
-        spec != nullptr ? spec->network : "", "");
-    config.accuracyTargetPct = merge.resolveDouble(
-        "--accuracy", "workload.accuracy_target_pct",
-        spec != nullptr ? spec->accuracyTargetPct : 50.0, 50.0);
-    config.seed = merge.resolveSeed(
-        "--seed", "meta.seed", spec != nullptr ? spec->seed : 1, 1);
-    config.trainRunsPerCombo = merge.resolveInt(
-        "--train-runs", "workload.train_runs",
-        spec != nullptr ? spec->trainRuns : 40, 40);
+    config.networkFilter = spec.network;
+    config.accuracyTargetPct = spec.accuracyTargetPct;
+    config.seed = spec.seed;
+    config.trainRunsPerCombo = spec.trainRuns >= 0 ? spec.trainRuns : 40;
     config.qtablePath = args.get("--qtable");
     config.checkpointPath = args.get("--checkpoint");
     config.checkpointIntervalRequests =
-        args.getInt("--checkpoint-interval", 100);
+        strictInt(args, "--checkpoint-interval", 100);
     config.resume = args.has("--resume");
 
     config.batchSize = strictInt(args, "--batch", config.batchSize);
@@ -801,15 +704,8 @@ cmdServe(const Args &args)
         fatal("--batch must be >= 0 (0 runs the scalar reference loop)");
     }
 
-    config.admission.maxDepth = merge.resolveInt(
-        "--queue-depth", "qos.queue_depth",
-        spec != nullptr ? spec->queueDepth : 64, 64);
-    if (config.admission.maxDepth <= 0) {
-        fatal("--queue-depth must be positive");
-    }
-    config.admission.degradeDepth = merge.resolveInt(
-        "--degrade-depth", "qos.degrade_depth",
-        spec != nullptr ? spec->degradeDepth : 8, 8);
+    config.admission.maxDepth = spec.queueDepth;
+    config.admission.degradeDepth = spec.degradeDepth;
 
     const std::string breaker = args.get("--breaker", "on");
     if (breaker == "on") {
@@ -830,9 +726,9 @@ cmdServe(const Args &args)
         fatal("--breaker-probe-successes must be positive");
     }
 
-    // Arrival rate: either absolute (--rate-hz) or as a multiple of the
-    // server's nominal local-only capacity (--rate-x; 2.0 = sustained
-    // 2x overload).
+    // Arrival rate: either absolute (--rate-hz / arrival.rate_rps) or
+    // as a multiple of the server's nominal local-only capacity
+    // (--rate-x / arrival.rate_x; 2.0 = sustained 2x overload).
     std::vector<const dnn::Network *> networks;
     for (const auto &network : dnn::modelZoo()) {
         if (config.networkFilter.empty()
@@ -840,89 +736,44 @@ cmdServe(const Args &args)
             networks.push_back(&network);
         }
     }
-    if (networks.empty()) {
-        fatal("unknown network '" + config.networkFilter + "'");
-    }
     const double nominal_ms = serve::nominalServiceMs(
         sim, networks, config.accuracyTargetPct);
-    // Absolute (--rate-hz / arrival.rate_rps) and relative (--rate-x /
-    // arrival.rate_x) spellings are one setting: crossing a flag of
-    // one spelling with a file key of the other is a conflict.
-    const bool fileRps = merge.fileSets("arrival.rate_rps");
-    const bool fileX = merge.fileSets("arrival.rate_x");
-    if (args.has("--rate-hz") && fileX) {
-        fatal("--rate-hz conflicts with arrival.rate_x from "
-              + spec->sourceFile + " (drop one spelling)");
-    }
-    if (args.has("--rate-x") && fileRps) {
-        fatal("--rate-x conflicts with arrival.rate_rps from "
-              + spec->sourceFile + " (drop one spelling)");
-    }
-    double rate_hz = 0.0;
-    if (args.has("--rate-hz") || fileRps) {
-        rate_hz = merge.resolveDouble(
-            "--rate-hz", "arrival.rate_rps",
-            spec != nullptr ? spec->arrival.rateRps : 0.0, 0.0);
-    } else {
-        rate_hz = merge.resolveDouble(
-                      "--rate-x", "arrival.rate_x",
-                      spec != nullptr ? spec->arrival.rateX : 2.0, 2.0)
-            * 1000.0 / nominal_ms;
-    }
-    if (rate_hz <= 0.0) {
-        fatal("--rate-hz/--rate-x must be positive");
-    }
+    const double rate_hz = spec.isSet("arrival.rate_rps")
+        ? spec.arrival.rateRps
+        : spec.arrival.rateX * 1000.0 / nominal_ms;
     config.arrival.ratePerSec = rate_hz;
-    config.arrival.burstPeriodMs = merge.resolveDouble(
-        "--burst-period-ms", "arrival.burst_period_ms",
-        spec != nullptr ? spec->arrival.burstPeriodMs : 0.0,
-        config.arrival.burstPeriodMs);
-    config.arrival.burstDurationMs = merge.resolveDouble(
-        "--burst-ms", "arrival.burst_ms",
-        spec != nullptr ? spec->arrival.burstMs : 0.0,
-        config.arrival.burstDurationMs);
-    config.arrival.burstMultiplier = merge.resolveDouble(
-        "--burst-mult", "arrival.burst_mult",
-        spec != nullptr ? spec->arrival.burstMult : 1.0,
-        config.arrival.burstMultiplier);
-    if (spec != nullptr) {
-        // Diurnal modulation is scenario-file-only (no flag spelling).
-        config.arrival.diurnalPeriodMs = spec->arrival.diurnalPeriodMs;
-        config.arrival.diurnalAmplitude = spec->arrival.diurnalAmplitude;
-    }
+    config.arrival.burstPeriodMs = spec.arrival.burstPeriodMs;
+    config.arrival.burstDurationMs = spec.arrival.burstMs;
+    config.arrival.burstMultiplier = spec.arrival.burstMult;
+    config.arrival.diurnalPeriodMs = spec.arrival.diurnalPeriodMs;
+    config.arrival.diurnalAmplitude = spec.arrival.diurnalAmplitude;
 
-    // --- Fleet mode: --fleet N > 1 drives N devices through the
-    // shared-infrastructure event loop. --fleet 1 (the default) takes
-    // the single-device path below, byte-identical to pre-fleet serve.
-    const int fleetDevices = merge.resolveInt(
-        "--fleet", "device.population",
-        spec != nullptr ? spec->population : 1, 1);
-    if (fleetDevices < 1) {
-        fatal("--fleet must be >= 1");
-    }
     // Flags that only mean something in one serving mode fail loudly
     // in the other instead of being silently ignored: a typo'd or
     // misplaced knob must never change which run gets reproduced.
+    // (Fleet knobs with a file key already failed in resolveSpec:
+    // [fleet], [infra] and [churn] need device.population > 1.)
     if (config.resume && config.checkpointPath.empty()) {
         fatal("--resume requires --checkpoint FILE");
     }
     if (config.checkpointIntervalRequests <= 0) {
         fatal("--checkpoint-interval must be positive");
     }
-    if (fleetDevices <= 1) {
+    if (spec.population <= 1) {
         for (const char *fleetOnly :
-             {"--epoch-ms", "--merge-epochs", "--checkpoint-every",
-              "--halt-after-epochs", "--churn-crash-prob",
-              "--churn-leave-prob", "--churn-down-epochs",
-              "--churn-initial-devices", "--churn-join-every",
-              "--outage-period-ms", "--outage-ms", "--fleet-memory"}) {
+             {"--shards", "--checkpoint-every", "--halt-after-epochs",
+              "--fleet-qtable-out", "--fleet-memory"}) {
             if (args.has(fleetOnly)) {
                 fatal(std::string(fleetOnly)
                       + " requires fleet serving (--fleet N > 1)");
             }
         }
     }
-    if (fleetDevices > 1) {
+    // --- Fleet mode: device.population N > 1 drives N devices through
+    // the shared-infrastructure event loop. A population of 1 (the
+    // default) takes the single-device path below, byte-identical to
+    // pre-fleet serve.
+    if (spec.population > 1) {
         if (args.has("--checkpoint-interval")) {
             fatal("--checkpoint-interval is per-request (single-device "
                   "serving); fleets checkpoint at epoch barriers "
@@ -930,103 +781,17 @@ cmdServe(const Args &args)
         }
         serve::FleetConfig fleet;
         fleet.serve = config;
-        fleet.devices = fleetDevices;
+        fleet.devices = spec.population;
         fleet.shards = strictInt(args, "--shards", fleet.shards);
         if (fleet.shards < 1) {
             fatal("--shards must be >= 1");
         }
         fleet.jobs = args.getInt("--jobs", 0);
-        fleet.qMode = serve::qTableModeFromName(merge.resolveString(
-            "--q-mode", "fleet.q_mode",
-            spec != nullptr ? spec->fleet.qMode : "per-device",
-            "per-device"));
-        fleet.federatedMergeEpochs = merge.resolveInt(
-            "--merge-epochs", "fleet.merge_epochs",
-            spec != nullptr ? spec->fleet.mergeEpochs : 8,
-            fleet.federatedMergeEpochs);
-        if (fleet.federatedMergeEpochs < 1) {
-            fatal("--merge-epochs must be >= 1");
-        }
-        fleet.epochMs = merge.resolveDouble(
-            "--epoch-ms", "fleet.epoch_ms",
-            spec != nullptr ? spec->fleet.epochMs : 250.0,
-            fleet.epochMs);
-        if (fleet.epochMs <= 0.0) {
-            fatal("--epoch-ms must be positive");
-        }
-        const serve::SharedInfraConfig infraSpec = spec != nullptr
-            ? spec->infra
-            : serve::SharedInfraConfig{};
-        fleet.infra.edgeCapacity = merge.resolveDouble(
-            "--edge-capacity", "infra.edge_capacity",
-            infraSpec.edgeCapacity, fleet.infra.edgeCapacity);
-        fleet.infra.wifiCapacity = merge.resolveDouble(
-            "--wifi-capacity", "infra.wifi_capacity",
-            infraSpec.wifiCapacity, fleet.infra.wifiCapacity);
-        fleet.infra.contention = merge.resolveDouble(
-            "--contention", "infra.contention", infraSpec.contention,
-            fleet.infra.contention);
-        fleet.infra.brownoutPeriodMs = merge.resolveDouble(
-            "--brownout-period-ms", "infra.brownout_period_ms",
-            infraSpec.brownoutPeriodMs, fleet.infra.brownoutPeriodMs);
-        fleet.infra.brownoutDurationMs = merge.resolveDouble(
-            "--brownout-ms", "infra.brownout_ms",
-            infraSpec.brownoutDurationMs, fleet.infra.brownoutDurationMs);
-        fleet.infra.brownoutSlowdown = merge.resolveDouble(
-            "--brownout-slowdown", "infra.brownout_slowdown",
-            infraSpec.brownoutSlowdown, fleet.infra.brownoutSlowdown);
-        fleet.infra.outagePeriodMs = merge.resolveDouble(
-            "--outage-period-ms", "infra.outage_period_ms",
-            infraSpec.outagePeriodMs, fleet.infra.outagePeriodMs);
-        fleet.infra.outageDurationMs = merge.resolveDouble(
-            "--outage-ms", "infra.outage_ms",
-            infraSpec.outageDurationMs, fleet.infra.outageDurationMs);
-        if (fleet.infra.outagePeriodMs < 0.0
-            || fleet.infra.outageDurationMs < 0.0) {
-            fatal("--outage-period-ms/--outage-ms must be >= 0");
-        }
-        if (fleet.infra.outagePeriodMs > 0.0
-            && fleet.infra.outageDurationMs > fleet.infra.outagePeriodMs) {
-            fatal("--outage-ms must not exceed --outage-period-ms");
-        }
-
-        // Churn schedule (DESIGN.md §17). ChurnProcess re-validates,
-        // but the CLI fatals first so the message names the flag.
-        const serve::ChurnConfig churnSpec =
-            spec != nullptr ? spec->churn : serve::ChurnConfig{};
-        fleet.churn.crashProb = merge.resolveDouble(
-            "--churn-crash-prob", "churn.crash_prob",
-            churnSpec.crashProb, fleet.churn.crashProb);
-        fleet.churn.leaveProb = merge.resolveDouble(
-            "--churn-leave-prob", "churn.leave_prob",
-            churnSpec.leaveProb, fleet.churn.leaveProb);
-        if (fleet.churn.crashProb < 0.0 || fleet.churn.crashProb > 1.0
-            || fleet.churn.leaveProb < 0.0 || fleet.churn.leaveProb > 1.0) {
-            fatal("--churn-crash-prob/--churn-leave-prob must be in [0, 1]");
-        }
-        if (fleet.churn.crashProb + fleet.churn.leaveProb > 1.0) {
-            fatal("--churn-crash-prob + --churn-leave-prob must not "
-                  "exceed 1");
-        }
-        fleet.churn.downEpochs = merge.resolveInt(
-            "--churn-down-epochs", "churn.down_epochs",
-            churnSpec.downEpochs, fleet.churn.downEpochs);
-        if (fleet.churn.downEpochs < 1) {
-            fatal("--churn-down-epochs must be >= 1");
-        }
-        fleet.churn.initialDevices = merge.resolveInt(
-            "--churn-initial-devices", "churn.initial_devices",
-            churnSpec.initialDevices, fleet.churn.initialDevices);
-        if (fleet.churn.initialDevices < 0
-            || fleet.churn.initialDevices > fleet.devices) {
-            fatal("--churn-initial-devices must be in [0, --fleet N]");
-        }
-        fleet.churn.joinEveryEpochs = merge.resolveInt(
-            "--churn-join-every", "churn.join_every_epochs",
-            churnSpec.joinEveryEpochs, fleet.churn.joinEveryEpochs);
-        if (fleet.churn.joinEveryEpochs < 1) {
-            fatal("--churn-join-every must be >= 1");
-        }
+        fleet.qMode = serve::qTableModeFromName(spec.fleet.qMode);
+        fleet.federatedMergeEpochs = spec.fleet.mergeEpochs;
+        fleet.epochMs = spec.fleet.epochMs;
+        fleet.infra = spec.infra;
+        fleet.churn = spec.churn;
 
         // Fleet checkpointing: serve.checkpointPath/resume carry over
         // verbatim; runFleet interprets them as the epoch-barrier
@@ -1054,9 +819,9 @@ cmdServe(const Args &args)
         fleet.collectQTables = !qtableOut.empty();
         fleet.reportMemory = args.has("--fleet-memory");
 
-        if (spec != nullptr) {
-            std::cout << "Scenario: " << spec->name << " ("
-                      << scenarioFileBase(spec->sourceFile) << ")\n";
+        if (!spec.sourceFile.empty()) {
+            std::cout << "Scenario: " << spec.name << " ("
+                      << scenarioFileBase(spec.sourceFile) << ")\n";
         }
         std::cout << "Serving fleet of " << fleet.devices << " devices ("
                   << config.totalRequests << " arrivals each) on "
@@ -1100,9 +865,9 @@ cmdServe(const Args &args)
         return 0;
     }
 
-    if (spec != nullptr) {
-        std::cout << "Scenario: " << spec->name << " ("
-                  << scenarioFileBase(spec->sourceFile) << ")\n";
+    if (!spec.sourceFile.empty()) {
+        std::cout << "Scenario: " << spec.name << " ("
+                  << scenarioFileBase(spec.sourceFile) << ")\n";
     }
     std::cout << "Serving " << config.totalRequests << " arrivals on "
               << sim.localDevice().name() << ", scenario "
@@ -1192,9 +957,10 @@ usage()
         "  --variant N                  pick one expansion of a file\n"
         "                               with a [variant] sweep\n"
         "  Flags override file values; a flag and a file key set to\n"
-        "  DIFFERENT values is a fatal conflict. Validate and expand\n"
-        "  files with the scenario_lint tool; library lives in\n"
-        "  scenarios/.\n\n"
+        "  DIFFERENT values is a fatal conflict. A flag accepts exactly\n"
+        "  the range of its file key, and fleet-only flags need\n"
+        "  --fleet N > 1. Validate and expand files with the\n"
+        "  scenario_lint tool; library lives in scenarios/.\n\n"
         "Fault injection (train, evaluate, loo, serve):\n"
         "  --faults NAME                none (default), blackout,\n"
         "                               flaky-wifi, or cloud-brownout\n"
