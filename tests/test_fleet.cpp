@@ -589,6 +589,58 @@ TEST(FleetRecords, ExportsMatchPinnedDigests)
     }
 }
 
+TEST(FleetRecords, SharedLearnerFleetsMatchPinnedDigests)
+{
+    // Two shared-table fleets whose digests were recorded before the
+    // Q-table became copy-on-write, so they pin the merge's output to
+    // the dense algorithm's. The first has the learner-fleet benchmark
+    // workload's shape: 64 devices, S1, device 0 pre-trained, peers
+    // warm-started from it. The second churns 16 devices: staggered
+    // joins and crashed devices that stay offline for three epochs, so
+    // they rejoin after missing at least two merges with the table
+    // they left with.
+    FleetConfig learner;
+    learner.serve = serveConfig(0.3, 60);
+    learner.serve.scenario = env::ScenarioId::S1;
+    learner.serve.trainRunsPerCombo = 40;
+    learner.devices = 64;
+    learner.qMode = QTableMode::Shared;
+    learner.collectQTables = true;
+
+    FleetConfig churned;
+    churned.serve = serveConfig(1.5, 200);
+    churned.devices = 16;
+    churned.qMode = QTableMode::Shared;
+    churned.collectQTables = true;
+    churned.churn.crashProb = 0.08;
+    churned.churn.leaveProb = 0.04;
+    churned.churn.downEpochs = 3;
+    churned.churn.initialDevices = 10;
+    churned.churn.joinEveryEpochs = 2;
+
+    const FleetDigests learnerPinned{
+        0x6a1452bab193ec0fULL, 0x6a684ffe464381cbULL,
+        0x4bed4097680ed297ULL, 0xa9fe164725d2defaULL};
+    const FleetDigests churnedPinned{
+        0x9de7da56f6205dcaULL, 0xf5e881abf5f414eaULL,
+        0x3bc211416216d7f3ULL, 0x41936012519f7eccULL};
+    for (const int shards : {1, 4}) {
+        SCOPED_TRACE("shards=" + std::to_string(shards));
+        FleetConfig config = learner;
+        config.shards = shards;
+        FleetStats stats;
+        EXPECT_EQ(runAndDigest(config, &stats), learnerPinned);
+        EXPECT_GE(stats.epochs, 10);
+
+        config = churned;
+        config.shards = shards;
+        EXPECT_EQ(runAndDigest(config, &stats), churnedPinned);
+        EXPECT_GT(stats.churnRejoins, 0);
+        EXPECT_GT(stats.churnJoins, 0);
+        EXPECT_GT(stats.totalShedChurn(), 0);
+    }
+}
+
 TEST(FleetRecords, CheckpointBytesMatchPinnedDigest)
 {
     // The halted run's manifest bytes are pinned (config digest, state
