@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <memory>
+#include <mutex>
 
 #include "util/logging.h"
+#include "util/rng_jump.h"
 
 namespace autoscale::core {
 
@@ -76,22 +80,61 @@ ConvergenceTracker::converged() const
         && stddev <= 0.5 * scale;
 }
 
+namespace {
+
+void
+checkConfig(const QLearningConfig &config)
+{
+    AS_CHECK(config.epsilon >= 0.0 && config.epsilon <= 1.0);
+    AS_CHECK(config.learningRate > 0.0 && config.learningRate <= 1.0);
+    AS_CHECK(config.discount >= 0.0 && config.discount < 1.0);
+    AS_CHECK(config.visitDecay >= 0.0);
+    AS_CHECK(config.minLearningRate > 0.0
+             && config.minLearningRate <= config.learningRate);
+}
+
+/**
+ * The jump past one random table initialization of @p cells draws.
+ * Building it costs a few milliseconds, so it is built once per table
+ * size and kept for the process (a fleet warm-starts every peer with
+ * the same one).
+ */
+const util::RngJump &
+initializationJump(std::uint64_t cells)
+{
+    static std::mutex mutex;
+    static std::map<std::uint64_t, std::unique_ptr<util::RngJump>> jumps;
+    const std::lock_guard<std::mutex> lock(mutex);
+    std::unique_ptr<util::RngJump> &jump = jumps[cells];
+    if (!jump) {
+        jump = std::make_unique<util::RngJump>(cells);
+    }
+    return *jump;
+}
+
+} // namespace
+
 QLearningAgent::QLearningAgent(int numStates, int numActions,
                                const QLearningConfig &config, Rng rng)
     : config_(config), table_(numStates, numActions), rng_(rng),
-      visits_(static_cast<std::size_t>(numStates)
-                  * static_cast<std::size_t>(numActions),
-              0)
+      visits_(numActions)
 {
-    AS_CHECK(config_.epsilon >= 0.0 && config_.epsilon <= 1.0);
-    AS_CHECK(config_.learningRate > 0.0 && config_.learningRate <= 1.0);
-    AS_CHECK(config_.discount >= 0.0 && config_.discount < 1.0);
-    AS_CHECK(config_.visitDecay >= 0.0);
-    AS_CHECK(config_.minLearningRate > 0.0
-             && config_.minLearningRate <= config_.learningRate);
+    checkConfig(config_);
     // Algorithm 1: "Initialize Q(S,A) as random values". Optimistic
     // positive initialization also encourages trying untried actions.
     table_.randomize(rng_, config_.initLow, config_.initHigh);
+}
+
+QLearningAgent::QLearningAgent(const QTable &initial,
+                               const QLearningConfig &config, Rng rng)
+    : config_(config), table_(initial.share()), rng_(rng),
+      visits_(initial.numActions())
+{
+    checkConfig(config_);
+    // randomize() takes exactly one draw per cell.
+    initializationJump(static_cast<std::uint64_t>(table_.numStates())
+                       * static_cast<std::uint64_t>(table_.numActions()))
+        .apply(rng_);
 }
 
 int
@@ -110,19 +153,23 @@ QLearningAgent::selectAction(int state)
 int
 QLearningAgent::visitCount(int state, int action) const
 {
-    const std::size_t index = static_cast<std::size_t>(state)
-        * static_cast<std::size_t>(table_.numActions())
-        + static_cast<std::size_t>(action);
-    AS_CHECK(index < visits_.size());
-    return visits_[index];
+    AS_CHECK(state >= 0 && state < table_.numStates());
+    AS_CHECK(action >= 0 && action < table_.numActions());
+    const std::uint16_t *row = visits_.find(state);
+    return row != nullptr ? row[action] : 0;
 }
 
 double
 QLearningAgent::effectiveLearningRate(int state, int action) const
 {
+    return learningRateAfter(visitCount(state, action));
+}
+
+double
+QLearningAgent::learningRateAfter(int visits) const
+{
     const double decayed = config_.learningRate
-        / (1.0 + config_.visitDecay
-                     * static_cast<double>(visitCount(state, action)));
+        / (1.0 + config_.visitDecay * static_cast<double>(visits));
     return std::max(decayed, config_.minLearningRate);
 }
 
@@ -133,20 +180,20 @@ QLearningAgent::update(int state, int action, double reward, int nextState)
     if (!learn_) {
         return;
     }
-    const double rate = effectiveLearningRate(state, action);
-    const std::size_t index = static_cast<std::size_t>(state)
-        * static_cast<std::size_t>(table_.numActions())
-        + static_cast<std::size_t>(action);
-    if (visits_[index] < 0xffff) {
-        ++visits_[index];
+    AS_CHECK(state >= 0 && state < table_.numStates());
+    AS_CHECK(action >= 0 && action < table_.numActions());
+    std::uint16_t &visits = visits_.insert(state, nullptr)[action];
+    const double rate = learningRateAfter(visits);
+    if (visits < 0xffff) {
+        ++visits;
     }
-    const double old_q = table_.at(state, action);
     const double target = reward + config_.discount
         * table_.maxValue(nextState);
+    float &q = table_.at(state, action);
+    const double old_q = q;
     lastTdError_ = target - old_q;
     lastUpdateDelta_ = rate * lastTdError_;
-    table_.at(state, action) = static_cast<float>(
-        old_q + lastUpdateDelta_);
+    q = static_cast<float>(old_q + lastUpdateDelta_);
 }
 
 } // namespace autoscale::core

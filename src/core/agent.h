@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "core/qtable.h"
+#include "core/sparse_rows.h"
 #include "util/rng.h"
 
 namespace autoscale::core {
@@ -103,6 +104,16 @@ class QLearningAgent {
     QLearningAgent(int numStates, int numActions,
                    const QLearningConfig &config, Rng rng);
 
+    /**
+     * Warm-started agent: its table shares @p initial's values
+     * (QTable::share) instead of drawing random ones, and @p rng is
+     * advanced past the numStates x numActions draws the random
+     * initialization would have taken, so every later exploration draw
+     * matches an agent that randomized and then copied @p initial.
+     */
+    QLearningAgent(const QTable &initial, const QLearningConfig &config,
+                   Rng rng);
+
     /** Epsilon-greedy action for @p state (Algorithm 1 selection). */
     int selectAction(int state);
 
@@ -142,10 +153,27 @@ class QLearningAgent {
     /** Number of learning updates applied to (state, action). */
     int visitCount(int state, int action) const;
 
+    /** States with at least one update, ascending. */
+    const std::vector<int> &visitedStates() const
+    {
+        return visits_.states();
+    }
+
+    /** The numActions visit counts of @p state, or null when no
+     * update has touched it. */
+    const std::uint16_t *
+    visitRow(int state) const
+    {
+        return visits_.find(state);
+    }
+
     /** Effective learning rate the next update of (state, action) uses. */
     double effectiveLearningRate(int state, int action) const;
 
   private:
+    /** Learning rate of an update to a cell with @p visits so far. */
+    double learningRateAfter(int visits) const;
+
     QLearningConfig config_;
     QTable table_;
     Rng rng_;
@@ -155,7 +183,9 @@ class QLearningAgent {
     double lastTdError_ = 0.0;
     double lastUpdateDelta_ = 0.0;
     ConvergenceTracker convergence_;
-    std::vector<std::uint16_t> visits_;
+    /** Saturating per-(state, action) update counts, one row per
+     * touched state. */
+    SparseRows<std::uint16_t> visits_;
 };
 
 } // namespace autoscale::core

@@ -1,5 +1,6 @@
 #include "core/qtable.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -15,28 +16,96 @@ namespace autoscale::core {
 
 QTable::QTable(int numStates, int numActions)
     : numStates_(numStates), numActions_(numActions),
-      values_(static_cast<std::size_t>(numStates)
-                  * static_cast<std::size_t>(numActions),
-              0.0f)
+      base_(std::make_shared<std::vector<float>>(
+          static_cast<std::size_t>(numStates)
+              * static_cast<std::size_t>(numActions),
+          0.0f)),
+      private_(numActions)
 {
     AS_CHECK(numStates_ > 0 && numActions_ > 0);
 }
 
-std::size_t
-QTable::index(int state, int action) const
+QTable::QTable(const QTable &other)
+    : numStates_(other.numStates_), numActions_(other.numActions_),
+      base_(std::make_shared<std::vector<float>>(*other.base_)),
+      private_(other.numActions_)
 {
-    AS_CHECK(state >= 0 && state < numStates_);
-    AS_CHECK(action >= 0 && action < numActions_);
-    return static_cast<std::size_t>(state)
-        * static_cast<std::size_t>(numActions_)
-        + static_cast<std::size_t>(action);
+    const std::size_t width = static_cast<std::size_t>(numActions_);
+    for (const int state : other.privateStates()) {
+        std::copy_n(other.row(state), width,
+                    base_->data() + static_cast<std::size_t>(state) * width);
+    }
+}
+
+QTable &
+QTable::operator=(const QTable &other)
+{
+    if (this != &other) {
+        *this = QTable(other);
+    }
+    return *this;
+}
+
+QTable::QTable(int numStates, int numActions,
+               std::shared_ptr<std::vector<float>> base)
+    : numStates_(numStates), numActions_(numActions),
+      base_(std::move(base)), private_(numActions)
+{
+}
+
+QTable
+QTable::share() const
+{
+    QTable shared(numStates_, numActions_, base_);
+    shared.private_ = private_;
+    return shared;
+}
+
+QTable
+QTable::baseCopy() const
+{
+    return QTable(numStates_, numActions_,
+                  std::make_shared<std::vector<float>>(*base_));
+}
+
+void
+QTable::rebase(const QTable &source)
+{
+    AS_CHECK(source.numStates_ == numStates_
+             && source.numActions_ == numActions_);
+    base_ = source.base_;
+    private_.clear();
+}
+
+float *
+QTable::mutableRow(int state)
+{
+    checkState(state);
+    if (!private_.empty()) {
+        if (float *own = private_.find(state)) {
+            return own;
+        }
+    }
+    float *shared = base_->data()
+        + static_cast<std::size_t>(state)
+            * static_cast<std::size_t>(numActions_);
+    // Refcounts change only where no other holder runs (see the file
+    // comment), so this read is stable for the whole write.
+    if (base_.use_count() == 1) {
+        return shared;
+    }
+    return private_.insert(state, shared);
 }
 
 void
 QTable::randomize(Rng &rng, double lo, double hi)
 {
     AS_CHECK(lo <= hi);
-    for (auto &value : values_) {
+    if (base_.use_count() != 1) {
+        base_ = std::make_shared<std::vector<float>>(base_->size());
+    }
+    private_.clear();
+    for (auto &value : *base_) {
         value = static_cast<float>(rng.uniform(lo, hi));
     }
 }
@@ -44,17 +113,14 @@ QTable::randomize(Rng &rng, double lo, double hi)
 int
 QTable::bestAction(int state) const
 {
-    // One bounds check for the whole row, then a raw scan: this runs
-    // once per decision and the per-cell index() checks dominated it.
-    AS_CHECK(state >= 0 && state < numStates_);
-    const float *row = values_.data()
-        + static_cast<std::size_t>(state)
-            * static_cast<std::size_t>(numActions_);
+    // One bounds check and one row lookup for the whole row, then a raw
+    // scan: this runs once per decision.
+    const float *values = row(state);
     int best = 0;
-    float best_value = row[0];
+    float best_value = values[0];
     for (int a = 1; a < numActions_; ++a) {
-        if (row[a] > best_value) {
-            best_value = row[a];
+        if (values[a] > best_value) {
+            best_value = values[a];
             best = a;
         }
     }
@@ -64,14 +130,11 @@ QTable::bestAction(int state) const
 double
 QTable::maxValue(int state) const
 {
-    AS_CHECK(state >= 0 && state < numStates_);
-    const float *row = values_.data()
-        + static_cast<std::size_t>(state)
-            * static_cast<std::size_t>(numActions_);
-    float best_value = row[0];
+    const float *values = row(state);
+    float best_value = values[0];
     for (int a = 1; a < numActions_; ++a) {
-        if (row[a] > best_value) {
-            best_value = row[a];
+        if (values[a] > best_value) {
+            best_value = values[a];
         }
     }
     return best_value;
@@ -80,7 +143,8 @@ QTable::maxValue(int state) const
 std::size_t
 QTable::memoryBytes() const
 {
-    return values_.size() * sizeof(float);
+    return static_cast<std::size_t>(numStates_)
+        * static_cast<std::size_t>(numActions_) * sizeof(float);
 }
 
 void
@@ -92,11 +156,12 @@ QTable::save(std::ostream &os) const
     os << numStates_ << ' ' << numActions_ << '\n';
     os << std::setprecision(9);
     for (int s = 0; s < numStates_; ++s) {
+        const float *values = row(s);
         for (int a = 0; a < numActions_; ++a) {
             if (a > 0) {
                 os << ' ';
             }
-            os << at(s, a);
+            os << values[a];
         }
         os << '\n';
     }

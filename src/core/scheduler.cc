@@ -18,6 +18,23 @@ AutoScaleScheduler::AutoScaleScheduler(const sim::InferenceSimulator &sim,
 {
 }
 
+AutoScaleScheduler::AutoScaleScheduler(const sim::InferenceSimulator &sim,
+                                       const SchedulerConfig &config,
+                                       std::uint64_t seed,
+                                       const AutoScaleScheduler &warmStart)
+    : sim_(sim), config_(config), actions_(buildActionSpace(sim)),
+      agent_(identityTransfer(warmStart)
+                 ? QLearningAgent(warmStart.agent_.table(), config.rl,
+                                  Rng(seed))
+                 : QLearningAgent(config.encoder.numStates(),
+                                  static_cast<int>(actions_.size()),
+                                  config.rl, Rng(seed)))
+{
+    if (!identityTransfer(warmStart)) {
+        transferFrom(warmStart);
+    }
+}
+
 const sim::ExecutionTarget &
 AutoScaleScheduler::choose(const sim::InferenceRequest &request,
                            const env::EnvState &env)
@@ -90,9 +107,23 @@ AutoScaleScheduler::setLearning(bool enabled)
     agent_.setLearning(enabled);
 }
 
+bool
+AutoScaleScheduler::identityTransfer(const AutoScaleScheduler &other) const
+{
+    // buildActionSpace is a pure function of the simulator, and
+    // matchActions maps each action of an identical list to itself (the
+    // only zero V/F gap within its place/processor/precision group).
+    return &sim_ == &other.sim_
+        && config_.encoder.numStates() == other.config_.encoder.numStates();
+}
+
 void
 AutoScaleScheduler::transferFrom(const AutoScaleScheduler &other)
 {
+    if (identityTransfer(other)) {
+        agent_.mutableTable() = other.agent_.table().share();
+        return;
+    }
     transferQTable(other.agent_.table(), other.actions_, other.sim_,
                    agent_.mutableTable(), actions_, sim_);
 }

@@ -56,6 +56,17 @@ class AutoScaleScheduler {
                        const SchedulerConfig &config, std::uint64_t seed);
 
     /**
+     * A scheduler warm-started from @p warmStart: the same as
+     * constructing with @p seed and then calling transferFrom(), but
+     * when the transfer is the identity (see transferFrom) it shares
+     * the table and skips drawing the random one it would overwrite,
+     * advancing its RNG past those draws instead.
+     */
+    AutoScaleScheduler(const sim::InferenceSimulator &sim,
+                       const SchedulerConfig &config, std::uint64_t seed,
+                       const AutoScaleScheduler &warmStart);
+
+    /**
      * Steps 1-2 of Fig. 8: observe the state for the upcoming inference
      * and select the execution target. Also completes the pending
      * Algorithm 1 update of the previous inference, for which this
@@ -87,7 +98,12 @@ class AutoScaleScheduler {
     /** Learning updates on/off. */
     void setLearning(bool enabled);
 
-    /** Seed this scheduler's Q-table from one trained on @p other. */
+    /**
+     * Seed this scheduler's Q-table from one trained on @p other. On the
+     * same simulator with the same state count the action match is the
+     * identity, so the table becomes a copy-on-write share of @p
+     * other's (QTable::share) rather than a copy.
+     */
     void transferFrom(const AutoScaleScheduler &other);
 
     /**
@@ -134,6 +150,9 @@ class AutoScaleScheduler {
     double lastQUpdateDelta() const { return agent_.lastUpdateDelta(); }
 
   private:
+    /** Whether transferFrom(@p other) maps every action to itself. */
+    bool identityTransfer(const AutoScaleScheduler &other) const;
+
     struct Pending {
         StateId state;
         ActionId action;

@@ -68,10 +68,11 @@ transferQTable(const QTable &src,
     const std::vector<int> match =
         matchActions(srcActions, srcSim, dstActions, dstSim);
     for (int s = 0; s < dst.numStates(); ++s) {
+        const float *from = src.row(s);
+        float *to = dst.mutableRow(s);
         for (int a = 0; a < dst.numActions(); ++a) {
             if (match[static_cast<std::size_t>(a)] >= 0) {
-                dst.at(s, a) =
-                    src.at(s, match[static_cast<std::size_t>(a)]);
+                to[a] = from[match[static_cast<std::size_t>(a)]];
             }
         }
     }

@@ -4,8 +4,13 @@ namespace autoscale::harness {
 
 AutoScalePolicy::AutoScalePolicy(const sim::InferenceSimulator &sim,
                                  const core::SchedulerConfig &config,
-                                 std::uint64_t seed)
-    : name_("AutoScale"), scheduler_(sim, config, seed)
+                                 std::uint64_t seed,
+                                 const core::AutoScaleScheduler *warmStart)
+    : name_("AutoScale"),
+      scheduler_(warmStart != nullptr
+                     ? core::AutoScaleScheduler(sim, config, seed,
+                                                *warmStart)
+                     : core::AutoScaleScheduler(sim, config, seed))
 {
 }
 
@@ -43,9 +48,10 @@ AutoScalePolicy::describeLastDecision(obs::DecisionEvent &event) const
 
 std::unique_ptr<AutoScalePolicy>
 makeAutoScalePolicy(const sim::InferenceSimulator &sim, std::uint64_t seed,
-                    const core::SchedulerConfig &config)
+                    const core::SchedulerConfig &config,
+                    const core::AutoScaleScheduler *warmStart)
 {
-    return std::make_unique<AutoScalePolicy>(sim, config, seed);
+    return std::make_unique<AutoScalePolicy>(sim, config, seed, warmStart);
 }
 
 } // namespace autoscale::harness

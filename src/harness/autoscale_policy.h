@@ -20,8 +20,11 @@ namespace autoscale::harness {
 /** AutoScale as a SchedulingPolicy. */
 class AutoScalePolicy : public baselines::SchedulingPolicy {
   public:
+    /** A non-null @p warmStart warm-starts the learner from that
+     * scheduler's table (see core::AutoScaleScheduler). */
     AutoScalePolicy(const sim::InferenceSimulator &sim,
-                    const core::SchedulerConfig &config, std::uint64_t seed);
+                    const core::SchedulerConfig &config, std::uint64_t seed,
+                    const core::AutoScaleScheduler *warmStart = nullptr);
 
     const std::string &name() const override { return name_; }
 
@@ -66,10 +69,14 @@ class AutoScalePolicy : public baselines::SchedulingPolicy {
     core::AutoScaleScheduler scheduler_;
 };
 
-/** Factory with the paper's default configuration. */
+/**
+ * Factory with the paper's default configuration; a non-null
+ * @p warmStart warm-starts the learner from that scheduler's table.
+ */
 std::unique_ptr<AutoScalePolicy> makeAutoScalePolicy(
     const sim::InferenceSimulator &sim, std::uint64_t seed,
-    const core::SchedulerConfig &config = core::SchedulerConfig{});
+    const core::SchedulerConfig &config = core::SchedulerConfig{},
+    const core::AutoScaleScheduler *warmStart = nullptr);
 
 } // namespace autoscale::harness
 

@@ -155,7 +155,10 @@ DeviceState::init(std::uint64_t seed,
     // the breaker and shedding machinery to remote-heavy traffic), but
     // only the AutoScale learner has a Q-table to checkpoint. ---
     if (config().policyName.empty() || config().policyName == "autoscale") {
-        auto autoscale = harness::makeAutoScalePolicy(sim(), policySeed);
+        // A fleet peer warm-starts from device 0, which already trained
+        // (or loaded) this table, instead of repeating the work N times.
+        auto autoscale = harness::makeAutoScalePolicy(
+            sim(), policySeed, core::SchedulerConfig{}, warmStart);
         learner = autoscale.get();
         ownedPolicy = std::move(autoscale);
     } else if (config().policyName == "cloud") {
@@ -179,17 +182,13 @@ DeviceState::init(std::uint64_t seed,
               " only");
     }
 
-    // --- Q-table provenance: warm start (fleet peers) > checkpoint >
-    // --qtable > pre-training. ---
+    // --- Q-table provenance: warm start (fleet peers, taken when the
+    // policy was built above) > checkpoint > --qtable > pre-training. ---
     if (!config().checkpointPath.empty()) {
         manager = std::make_unique<CheckpointManager>(
             config().checkpointPath);
     }
-    if (learner != nullptr && warmStart != nullptr) {
-        // Fleet peer: device 0 already trained (or loaded) this table;
-        // copy it instead of repeating the work N times.
-        learner->scheduler().transferFrom(*warmStart);
-    } else {
+    if (learner == nullptr || warmStart == nullptr) {
         bool restored = false;
         if (config().resume) {
             if (!manager) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -164,9 +165,11 @@ namespace {
 void
 checkMergeShapes(const std::vector<core::AutoScaleScheduler *> &schedulers)
 {
-    const core::QTable &first = schedulers.front()->agent().table();
-    for (core::AutoScaleScheduler *scheduler : schedulers) {
+    for (const core::AutoScaleScheduler *scheduler : schedulers) {
         AS_CHECK(scheduler != nullptr);
+    }
+    const core::QTable &first = schedulers.front()->agent().table();
+    for (const core::AutoScaleScheduler *scheduler : schedulers) {
         const core::QTable &table = scheduler->agent().table();
         AS_CHECK(table.numStates() == first.numStates());
         AS_CHECK(table.numActions() == first.numActions());
@@ -174,34 +177,132 @@ checkMergeShapes(const std::vector<core::AutoScaleScheduler *> &schedulers)
 }
 
 /**
- * Visit-weighted value of one cell across @p schedulers. Returns false
- * (leaving @p out untouched) when nobody has experience there.
- * Visits are uint16 and Q floats: each product is exact in double
- * (< 53 significant bits), so the single-contributor case divides a
- * product by its own integer factor and round-trips bitwise.
+ * The visit-weighted sums of the rows a merge can change: the
+ * "candidate" rows, where some table of the set holds a private row or
+ * the distinct bases the set reads through differ. Every other row
+ * holds the same value q in every table, and re-merging it is a
+ * bitwise no-op: each visits x q product is exact in double, so is
+ * their sum (while a cell's total stays below 2^29 visits), and
+ * dividing by the total returns q.
+ *
+ * Each cell's sum runs in device-index order, like the dense
+ * definition; zero-visit terms are skipped, which is exact (adding
+ * +-0 never changes a sum that starts at +0).
  */
-bool
-visitWeightedCell(const std::vector<core::AutoScaleScheduler *> &schedulers,
-                  int state, int action, float *out)
+struct MergedRows {
+    std::size_t width = 0;
+    /** Candidate states, ascending. */
+    std::vector<int> states;
+    /** Candidate index of each state; -1 off the candidate rows. */
+    std::vector<int> slotOf;
+    /** Per candidate cell: total visits, and sum of visits x Q. */
+    std::vector<std::int64_t> visits;
+    std::vector<double> weighted;
+    /** A table reading through the base most of the set holds. */
+    const core::QTable *reference = nullptr;
+
+    /**
+     * Row @p slot after the merge, for a table whose own values there
+     * are @p own: the merged value where the set has visits, @p own
+     * elsewhere.
+     */
+    void
+    mergedRow(std::size_t slot, const float *own, float *out) const
+    {
+        const std::size_t begin = slot * width;
+        for (std::size_t a = 0; a < width; ++a) {
+            const std::int64_t total = visits[begin + a];
+            out[a] = total > 0
+                ? static_cast<float>(weighted[begin + a]
+                                     / static_cast<double>(total))
+                : own[a];
+        }
+    }
+};
+
+MergedRows
+sumCandidateRows(const std::vector<core::AutoScaleScheduler *> &schedulers)
 {
-    std::int64_t totalVisits = 0;
+    const core::QTable &first = schedulers.front()->agent().table();
+    const int numStates = first.numStates();
+    MergedRows merged;
+    merged.width = static_cast<std::size_t>(first.numActions());
+
+    // Distinct bases with their holder counts, in first-seen order.
+    std::vector<std::pair<const core::QTable *, std::size_t>> bases;
     for (const core::AutoScaleScheduler *scheduler : schedulers) {
-        totalVisits += scheduler->agent().visitCount(state, action);
+        const core::QTable &table = scheduler->agent().table();
+        auto held = std::find_if(bases.begin(), bases.end(),
+                                 [&](const auto &base) {
+                                     return base.first->baseId()
+                                         == table.baseId();
+                                 });
+        if (held == bases.end()) {
+            bases.emplace_back(&table, 1);
+        } else {
+            ++held->second;
+        }
     }
-    if (totalVisits == 0) {
-        return false;
-    }
-    double weighted = 0.0;
+    merged.reference =
+        std::max_element(bases.begin(), bases.end(),
+                         [](const auto &a, const auto &b) {
+                             return a.second < b.second;
+                         })
+            ->first;
+
+    std::vector<char> candidate(static_cast<std::size_t>(numStates), 0);
     for (const core::AutoScaleScheduler *scheduler : schedulers) {
-        weighted +=
-            static_cast<double>(scheduler->agent().visitCount(state,
-                                                              action))
-            * static_cast<double>(
-                scheduler->agent().table().at(state, action));
+        for (const int state : scheduler->agent().table().privateStates()) {
+            candidate[static_cast<std::size_t>(state)] = 1;
+        }
     }
-    *out = static_cast<float>(weighted
-                              / static_cast<double>(totalVisits));
-    return true;
+    for (const auto &[table, holders] : bases) {
+        if (table == merged.reference) {
+            continue;
+        }
+        for (int state = 0; state < numStates; ++state) {
+            if (std::memcmp(table->baseRow(state),
+                            merged.reference->baseRow(state),
+                            merged.width * sizeof(float))
+                != 0) {
+                candidate[static_cast<std::size_t>(state)] = 1;
+            }
+        }
+    }
+    merged.slotOf.assign(static_cast<std::size_t>(numStates), -1);
+    for (int state = 0; state < numStates; ++state) {
+        if (candidate[static_cast<std::size_t>(state)] != 0) {
+            merged.slotOf[static_cast<std::size_t>(state)] =
+                static_cast<int>(merged.states.size());
+            merged.states.push_back(state);
+        }
+    }
+
+    const std::size_t cells = merged.states.size() * merged.width;
+    merged.visits.assign(cells, 0);
+    merged.weighted.assign(cells, 0.0);
+    for (const core::AutoScaleScheduler *scheduler : schedulers) {
+        const core::QLearningAgent &agent = scheduler->agent();
+        for (const int state : agent.visitedStates()) {
+            const int slot = merged.slotOf[static_cast<std::size_t>(state)];
+            if (slot < 0) {
+                continue;
+            }
+            const std::uint16_t *visits = agent.visitRow(state);
+            const float *values = agent.table().row(state);
+            const std::size_t begin =
+                static_cast<std::size_t>(slot) * merged.width;
+            for (std::size_t a = 0; a < merged.width; ++a) {
+                if (visits[a] != 0) {
+                    merged.visits[begin + a] += visits[a];
+                    merged.weighted[begin + a] +=
+                        static_cast<double>(visits[a])
+                        * static_cast<double>(values[a]);
+                }
+            }
+        }
+    }
+    return merged;
 }
 
 } // namespace
@@ -214,19 +315,50 @@ mergeQTablesVisitWeighted(
         return;
     }
     checkMergeShapes(schedulers);
-    const core::QTable &first = schedulers.front()->agent().table();
-    for (int state = 0; state < first.numStates(); ++state) {
-        for (int action = 0; action < first.numActions(); ++action) {
-            float merged = 0.0f;
-            if (!visitWeightedCell(schedulers, state, action, &merged)) {
-                // Nobody has experience here; leave every table's
-                // optimistic initialization untouched.
-                continue;
+    const MergedRows merged = sumCandidateRows(schedulers);
+    const std::size_t width = merged.width;
+
+    // The new base: the reference base with every candidate row merged.
+    core::QTable published = merged.reference->baseCopy();
+    for (std::size_t slot = 0; slot < merged.states.size(); ++slot) {
+        float *row = published.mutableRow(merged.states[slot]);
+        merged.mergedRow(slot, row, row);
+    }
+
+    // Every table then reads through the new base and keeps a private
+    // row only where its merged row differs from the base's: at cells
+    // nobody in the set visited, where it held values of its own. A
+    // table on the reference base can differ only at its private rows.
+    std::vector<char> onReference(schedulers.size());
+    for (std::size_t i = 0; i < schedulers.size(); ++i) {
+        onReference[i] = schedulers[i]->agent().table().baseId()
+            == merged.reference->baseId();
+    }
+    std::vector<int> keptStates;
+    std::vector<float> keptRows;
+    std::vector<float> row(width);
+    for (std::size_t i = 0; i < schedulers.size(); ++i) {
+        core::QTable &table = schedulers[i]->mutableAgent().mutableTable();
+        const std::vector<int> &check =
+            onReference[i] != 0 ? table.privateStates() : merged.states;
+        keptStates.clear();
+        keptRows.clear();
+        for (const int state : check) {
+            const std::size_t slot = static_cast<std::size_t>(
+                merged.slotOf[static_cast<std::size_t>(state)]);
+            merged.mergedRow(slot, table.row(state), row.data());
+            if (std::memcmp(row.data(), published.row(state),
+                            width * sizeof(float))
+                != 0) {
+                keptStates.push_back(state);
+                keptRows.insert(keptRows.end(), row.begin(), row.end());
             }
-            for (core::AutoScaleScheduler *scheduler : schedulers) {
-                scheduler->mutableAgent().mutableTable().at(state, action) =
-                    merged;
-            }
+        }
+        table.rebase(published);
+        for (std::size_t k = 0; k < keptStates.size(); ++k) {
+            std::copy_n(keptRows.begin()
+                            + static_cast<std::ptrdiff_t>(k * width),
+                        width, table.mutableRow(keptStates[k]));
         }
     }
 }
@@ -237,19 +369,16 @@ mergedQTableSnapshot(
 {
     AS_CHECK(!schedulers.empty());
     checkMergeShapes(schedulers);
-    core::QTable merged = schedulers.front()->agent().table();
+    core::QTable snapshot = schedulers.front()->agent().table();
     if (schedulers.size() < 2) {
-        return merged;
+        return snapshot;
     }
-    for (int state = 0; state < merged.numStates(); ++state) {
-        for (int action = 0; action < merged.numActions(); ++action) {
-            float value = 0.0f;
-            if (visitWeightedCell(schedulers, state, action, &value)) {
-                merged.at(state, action) = value;
-            }
-        }
+    const MergedRows merged = sumCandidateRows(schedulers);
+    for (std::size_t slot = 0; slot < merged.states.size(); ++slot) {
+        float *row = snapshot.mutableRow(merged.states[slot]);
+        merged.mergedRow(slot, row, row);
     }
-    return merged;
+    return snapshot;
 }
 
 FleetStats

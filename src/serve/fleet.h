@@ -18,7 +18,9 @@
  * Q-table modes: per-device learners are fully independent; "shared"
  * approximates one fleet-wide table by visit-count-weighted merging at
  * every epoch barrier; "federated" merges every
- * `federatedMergeEpochs` epochs. Merges never run mid-epoch.
+ * `federatedMergeEpochs` epochs. Merges never run mid-epoch. Every
+ * peer starts as a copy-on-write share of device 0's table
+ * (core/qtable.h), and a merge publishes one new shared base.
  */
 
 #ifndef AUTOSCALE_SERVE_FLEET_H_
@@ -228,6 +230,14 @@ struct FleetStats {
  * exact), so zero-visit peers never perturb a trained table.
  * Visit counts themselves are not merged: they keep encoding each
  * device's own experience for its learning-rate schedule.
+ *
+ * Cost: only rows some table has written since it last adopted a base
+ * (its private rows), and rows where the bases the set holds differ,
+ * are recomputed; every other row is the same in every table, where
+ * the merge is a no-op. The result is published as one new base that
+ * every table of the set shares, plus a private row wherever a table
+ * keeps values of its own (unvisited cells of a recomputed row). Call
+ * it only where no other thread uses these tables (a barrier).
  */
 void mergeQTablesVisitWeighted(
     const std::vector<core::AutoScaleScheduler *> &schedulers);

@@ -5,10 +5,10 @@
  * draws" is multiplication by a fixed 256x256 bit matrix T^N. RngJump
  * precomputes that matrix once (square-and-multiply over the 256 basis
  * images, ~log2(N) compositions) and then applies it to any generator
- * in at most 256 conditional XORs — the trick that lets a compact
- * fleet device land its policy RNG exactly where a legacy device's RNG
- * ends up after consuming N warm-up draws (e.g. a full Q-table
- * randomize), without paying the N draws per device.
+ * in at most 256 conditional XORs. A warm-started QLearningAgent (a
+ * fleet peer, core/agent.h) uses it to land its RNG exactly where it
+ * would be after randomizing its Q-table (one draw per cell), without
+ * paying those draws for a table it shares instead.
  */
 
 #ifndef AUTOSCALE_UTIL_RNG_JUMP_H_

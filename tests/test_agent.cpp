@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <vector>
 
 #include "core/agent.h"
 #include "util/rng.h"
@@ -47,6 +48,31 @@ TEST(Agent, UpdateFollowsAlgorithm1Exactly)
     agent.update(0, 0, 10.0, 1);
     EXPECT_NEAR(agent.table().at(0, 0), 9.46, 1e-5);
     EXPECT_NEAR(agent.lastTdError(), 9.4, 1e-5);
+}
+
+TEST(Agent, VisitCountsArePerCell)
+{
+    QLearningAgent agent(3, 2, paperConfig(), Rng(1));
+    agent.update(1, 0, 1.0, 1);
+    agent.update(1, 0, 1.0, 1);
+    agent.update(2, 1, 1.0, 0);
+    EXPECT_EQ(agent.visitCount(1, 0), 2);
+    EXPECT_EQ(agent.visitCount(2, 1), 1);
+    EXPECT_EQ(agent.visitCount(0, 0), 0);
+    EXPECT_EQ(agent.visitCount(1, 1), 0);
+    EXPECT_EQ(agent.visitedStates(), (std::vector<int>{1, 2}));
+    EXPECT_EQ(agent.visitRow(0), nullptr);
+}
+
+TEST(AgentDeath, VisitCountChecksStateAndActionSeparately)
+{
+    // (0, numActions) has the flat index of (1, 0), which has a visit:
+    // an action past the row must fail, not read the next state's count.
+    QLearningAgent agent(3, 2, paperConfig(), Rng(1));
+    agent.update(1, 0, 1.0, 1);
+    EXPECT_DEATH(agent.visitCount(0, 2), "check failed");
+    EXPECT_DEATH(agent.visitCount(0, -1), "check failed");
+    EXPECT_DEATH(agent.visitCount(3, 0), "check failed");
 }
 
 TEST(Agent, NegativeRewardLowersValue)

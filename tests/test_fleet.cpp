@@ -9,10 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <ostream>
 #include <set>
 #include <sstream>
@@ -134,8 +137,19 @@ TEST(Fleet, ShardAndJobsInvariance)
     fleet.infra.brownoutPeriodMs = 1000.0;
     fleet.infra.brownoutDurationMs = 250.0;
 
-    auto run = [&](int shards, int jobs) {
-        FleetConfig config = fleet;
+    // A shared table under churn: shard workers read one base
+    // concurrently (the TSan job runs this test), and devices rejoin
+    // with the table they left with.
+    FleetConfig churned = fleet;
+    churned.serve = serveConfig(1.5, 150);
+    churned.qMode = QTableMode::Shared;
+    churned.churn.crashProb = 0.10;
+    churned.churn.leaveProb = 0.05;
+    churned.churn.downEpochs = 2;
+    churned.churn.initialDevices = 8;
+
+    auto run = [](const FleetConfig &shape, int shards, int jobs) {
+        FleetConfig config = shape;
         config.shards = shards;
         config.jobs = jobs;
         obs::TraceRecorder trace(true);
@@ -148,14 +162,20 @@ TEST(Fleet, ShardAndJobsInvariance)
         metrics.writeText(metricsText);
         return std::make_tuple(stats.checksum, stats.qtableDump,
                                traceText.str(), metricsText.str(),
-                               stats.epochs);
+                               stats.epochs, stats.churnRejoins);
     };
 
-    const auto base = run(1, 1);
-    const auto sharded = run(4, 4);
-    const auto odd = run(5, 2);
-    EXPECT_EQ(base, sharded);
-    EXPECT_EQ(base, odd);
+    for (const FleetConfig *config : {&fleet, &churned}) {
+        SCOPED_TRACE(qTableModeName(config->qMode));
+        const auto base = run(*config, 1, 1);
+        const auto sharded = run(*config, 4, 4);
+        const auto odd = run(*config, 5, 2);
+        EXPECT_EQ(base, sharded);
+        EXPECT_EQ(base, odd);
+        if (config->churn.enabled()) {
+            EXPECT_GT(std::get<5>(base), 0);
+        }
+    }
 }
 
 TEST(Fleet, EdgeSaturationPushesMarginalDevicesLocal)
@@ -451,6 +471,229 @@ TEST(Fleet, MergedQTableSnapshotEqualsInPlaceMerge)
 }
 
 // ---------------------------------------------------------------------
+// The copy-on-write merge against the dense algorithm it replaced. The
+// reference below keeps every device's full table and visit counts and
+// merges every cell; the library merges only candidate rows and shares
+// one base. After every step, every cell and visit count must agree
+// bitwise.
+// ---------------------------------------------------------------------
+
+/** One device's dense mirror: Q values and visit counts per cell. */
+struct DenseLearner {
+    std::vector<float> q;
+    std::vector<std::uint16_t> visits;
+};
+
+DenseLearner
+denseCopy(const core::AutoScaleScheduler &scheduler)
+{
+    const core::QTable &table = scheduler.agent().table();
+    DenseLearner dense;
+    for (int s = 0; s < table.numStates(); ++s) {
+        for (int a = 0; a < table.numActions(); ++a) {
+            dense.q.push_back(table.at(s, a));
+            dense.visits.push_back(0);
+        }
+    }
+    return dense;
+}
+
+/** Algorithm 1 with the per-cell learning-rate decay, on the mirror. */
+void
+denseUpdate(DenseLearner &dense, const core::QLearningConfig &config,
+            int numActions, int state, int action, double reward,
+            int nextState)
+{
+    const std::size_t cell =
+        static_cast<std::size_t>(state * numActions + action);
+    const double rate = std::max(
+        config.learningRate
+            / (1.0 + config.visitDecay
+                         * static_cast<double>(dense.visits[cell])),
+        config.minLearningRate);
+    if (dense.visits[cell] < 0xffff) {
+        ++dense.visits[cell];
+    }
+    const double oldQ = dense.q[cell];
+    float best = dense.q[static_cast<std::size_t>(nextState * numActions)];
+    for (int a = 1; a < numActions; ++a) {
+        best = std::max(best, dense.q[static_cast<std::size_t>(
+                                  nextState * numActions + a)]);
+    }
+    const double target = reward + config.discount * best;
+    dense.q[cell] = static_cast<float>(oldQ + rate * (target - oldQ));
+}
+
+/** The dense visit-weighted merge value of @p cell; false if unvisited. */
+bool
+denseMergedCell(const std::vector<DenseLearner *> &set, std::size_t cell,
+                float *out)
+{
+    std::int64_t total = 0;
+    for (const DenseLearner *dense : set) {
+        total += dense->visits[cell];
+    }
+    if (total == 0) {
+        return false;
+    }
+    double weighted = 0.0;
+    for (const DenseLearner *dense : set) {
+        weighted += static_cast<double>(dense->visits[cell])
+            * static_cast<double>(dense->q[cell]);
+    }
+    *out = static_cast<float>(weighted / static_cast<double>(total));
+    return true;
+}
+
+void
+denseMerge(const std::vector<DenseLearner *> &set)
+{
+    if (set.size() < 2) {
+        return;
+    }
+    for (std::size_t cell = 0; cell < set.front()->q.size(); ++cell) {
+        float merged = 0.0f;
+        if (denseMergedCell(set, cell, &merged)) {
+            for (DenseLearner *dense : set) {
+                dense->q[cell] = merged;
+            }
+        }
+    }
+}
+
+/** Bitwise comparison of a scheduler against its dense mirror. */
+::testing::AssertionResult
+matchesDense(const core::AutoScaleScheduler &scheduler,
+             const DenseLearner &dense)
+{
+    const core::QTable &table = scheduler.agent().table();
+    for (int s = 0; s < table.numStates(); ++s) {
+        for (int a = 0; a < table.numActions(); ++a) {
+            const std::size_t cell =
+                static_cast<std::size_t>(s * table.numActions() + a);
+            if (std::bit_cast<std::uint32_t>(table.at(s, a))
+                    != std::bit_cast<std::uint32_t>(dense.q[cell])
+                || scheduler.agent().visitCount(s, a)
+                    != dense.visits[cell]) {
+                return ::testing::AssertionFailure()
+                    << "cell (" << s << "," << a << "): Q "
+                    << table.at(s, a) << " vs " << dense.q[cell]
+                    << ", visits " << scheduler.agent().visitCount(s, a)
+                    << " vs " << dense.visits[cell];
+            }
+        }
+    }
+    return ::testing::AssertionSuccess();
+}
+
+TEST(QTableMerge, SparseMatchesDenseReference)
+{
+    const sim::InferenceSimulator &sim = testSim();
+    const core::SchedulerConfig config;
+    Rng rng(2024);
+
+    // Devices 0-4 share device 0's base (two through the warm-start
+    // constructor, two through transferFrom); devices 5-7 are
+    // independent tables that differ from it in every row.
+    std::vector<std::unique_ptr<core::AutoScaleScheduler>> devices;
+    devices.push_back(
+        std::make_unique<core::AutoScaleScheduler>(sim, config, 100));
+    for (std::uint64_t i = 1; i < 8; ++i) {
+        if (i <= 2) {
+            devices.push_back(std::make_unique<core::AutoScaleScheduler>(
+                sim, config, 100 + i, *devices[0]));
+        } else {
+            devices.push_back(std::make_unique<core::AutoScaleScheduler>(
+                sim, config, 100 + i));
+            if (i <= 4) {
+                devices.back()->transferFrom(*devices[0]);
+            }
+        }
+    }
+    std::vector<DenseLearner> dense;
+    for (const auto &device : devices) {
+        dense.push_back(denseCopy(*device));
+    }
+    const int numStates = devices[0]->agent().table().numStates();
+    const int numActions = devices[0]->agent().table().numActions();
+    auto expectAllMatch = [&](const std::string &step) {
+        for (std::size_t d = 0; d < devices.size(); ++d) {
+            ASSERT_TRUE(matchesDense(*devices[d], dense[d]))
+                << "device " << d << " after " << step;
+        }
+    };
+    expectAllMatch("construction");
+
+    // Random present subsets, in device order, like a churned fleet.
+    auto randomSubset = [&](std::vector<core::AutoScaleScheduler *> *set,
+                            std::vector<DenseLearner *> *denseSet) {
+        for (std::size_t d = 0; d < devices.size(); ++d) {
+            if (rng.bernoulli(0.6)) {
+                set->push_back(devices[d].get());
+                denseSet->push_back(&dense[d]);
+            }
+        }
+    };
+
+    for (int round = 0; round < 8; ++round) {
+        // Updates concentrate on a few dozen states so devices collide
+        // on rows, with the occasional update anywhere in the table.
+        for (std::size_t d = 0; d < devices.size(); ++d) {
+            const int updates = static_cast<int>(rng.uniformInt(60));
+            for (int k = 0; k < updates; ++k) {
+                const bool anywhere = rng.bernoulli(0.1);
+                const int state = static_cast<int>(
+                    rng.uniformInt(anywhere ? numStates : 40));
+                const int action =
+                    static_cast<int>(rng.uniformInt(numActions));
+                const int next = static_cast<int>(rng.uniformInt(40));
+                const double reward = rng.uniform(-20.0, 5.0);
+                devices[d]->mutableAgent().update(state, action, reward,
+                                                  next);
+                denseUpdate(dense[d], config.rl, numActions, state, action,
+                            reward, next);
+            }
+        }
+        expectAllMatch("updates in round " + std::to_string(round));
+
+        std::vector<core::AutoScaleScheduler *> snapshotSet;
+        std::vector<DenseLearner *> denseSnapshotSet;
+        randomSubset(&snapshotSet, &denseSnapshotSet);
+        if (!snapshotSet.empty()) {
+            const core::QTable snapshot = mergedQTableSnapshot(snapshotSet);
+            DenseLearner expected = *denseSnapshotSet.front();
+            for (std::size_t cell = 0; cell < expected.q.size(); ++cell) {
+                if (denseSnapshotSet.size() >= 2) {
+                    denseMergedCell(denseSnapshotSet, cell,
+                                    &expected.q[cell]);
+                }
+                ASSERT_EQ(std::bit_cast<std::uint32_t>(snapshot.at(
+                              static_cast<int>(cell) / numActions,
+                              static_cast<int>(cell) % numActions)),
+                          std::bit_cast<std::uint32_t>(expected.q[cell]))
+                    << "snapshot cell " << cell << " in round " << round;
+            }
+        }
+        expectAllMatch("snapshot in round " + std::to_string(round));
+
+        std::vector<core::AutoScaleScheduler *> mergeSet;
+        std::vector<DenseLearner *> denseMergeSet;
+        randomSubset(&mergeSet, &denseMergeSet);
+        mergeQTablesVisitWeighted(mergeSet);
+        denseMerge(denseMergeSet);
+        expectAllMatch("merge in round " + std::to_string(round));
+    }
+}
+
+TEST(FleetDeath, MergeChecksForNullBeforeReadingShapes)
+{
+    core::AutoScaleScheduler peer(testSim(), {}, 1);
+    EXPECT_DEATH(mergeQTablesVisitWeighted({nullptr, &peer}),
+                 "check failed");
+    EXPECT_DEATH(mergedQTableSnapshot({nullptr, &peer}), "check failed");
+}
+
+// ---------------------------------------------------------------------
 // Device records (DESIGN.md §18): every fleet device is one DeviceState
 // over the fleet's single DevicePlan, recording into a per-shard trace
 // buffer and a pooled metrics block. The digests below were recorded
@@ -715,6 +958,30 @@ TEST(FleetRecords, AggregateStatsFoldPreservesTotalsAndChecksum)
     EXPECT_EQ(agg.totalEnergyJ(), full.totalEnergyJ());
     EXPECT_EQ(agg.totalWastedEnergyJ(), full.totalWastedEnergyJ());
     EXPECT_EQ(agg.endClockMs, full.endClockMs);
+}
+
+TEST(FleetRecords, LearnerFleetStaysUnderMemoryBudget)
+{
+    // ROADMAP item 4's learner gate at a size CI can run: 10,000
+    // shared-mode learners, each holding its visit rows and the rows it
+    // wrote since the last merge over one shared base. With a dense
+    // table and visit counts per device (1.23 MB) this run would need
+    // about 12 GB.
+    FleetConfig fleet;
+    fleet.serve = serveConfig(0.5, 20);
+    fleet.devices = 10000;
+    fleet.qMode = QTableMode::Shared;
+    fleet.aggregateStats = true;
+    fleet.reportMemory = true;
+
+    const FleetStats stats = runFleet(testSim(), fleet, {});
+    EXPECT_EQ(stats.totalArrivals(), 200000);
+    EXPECT_EQ(stats.totalArrivals(),
+              stats.totalServed() + stats.totalShed());
+    EXPECT_GT(stats.totalServed(), 0);
+    ASSERT_GT(stats.peakRssBytes, 0u);
+    ASSERT_GT(stats.bytesPerDevice, 0.0);
+    EXPECT_LE(stats.bytesPerDevice, 32.0 * 1024.0);
 }
 
 TEST(FleetRecords, HundredThousandDeviceSmokeStaysUnderMemoryBudget)

@@ -1,7 +1,8 @@
 /**
  * @file
- * Tests for the dense Q-table: indexing, argmax, random initialization,
- * serialization, and the Section VI-C memory footprint.
+ * Tests for the Q-table: indexing, argmax, random initialization,
+ * serialization, the Section VI-C memory footprint, and copy-on-write
+ * sharing of one base.
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <cmath>
 #include <locale>
 #include <sstream>
+#include <vector>
 
 #include "core/qtable.h"
 #include "util/rng.h"
@@ -222,6 +224,60 @@ TEST(QTableDeath, NonFiniteValuesAreRejected)
     EXPECT_EXIT({ QTable::load(inf_stream); },
                 ::testing::ExitedWithCode(1),
                 "non-finite value at state 1, action 0");
+}
+
+TEST(QTable, SoleOwnerWritesInPlace)
+{
+    QTable table(4, 3);
+    const void *base = table.baseId();
+    table.at(2, 1) = 7.0f;
+    EXPECT_EQ(table.baseId(), base);
+    EXPECT_TRUE(table.privateStates().empty());
+    EXPECT_EQ(table.baseRow(2)[1], 7.0f);
+}
+
+TEST(QTable, SharedBaseCopiesOnlyTheWrittenRow)
+{
+    QTable source(4, 3);
+    Rng rng(5);
+    source.randomize(rng, -1.0, 1.0);
+    const QTable before = source;
+    QTable peer = source.share();
+    EXPECT_EQ(peer.baseId(), source.baseId());
+
+    peer.at(2, 1) = 9.0f;
+    EXPECT_EQ(peer.privateStates(), (std::vector<int>{2}));
+    EXPECT_EQ(peer.at(2, 1), 9.0f);
+    // The rest of the copied row and every other row read as before.
+    EXPECT_EQ(peer.at(2, 0), before.at(2, 0));
+    EXPECT_EQ(peer.at(3, 2), before.at(3, 2));
+    // The source still reads its own values (through a const view: a
+    // non-const at() is a write access and copies the row), and its
+    // writes copy too.
+    const QTable &sourceView = source;
+    EXPECT_EQ(sourceView.at(2, 1), before.at(2, 1));
+    EXPECT_TRUE(source.privateStates().empty());
+    source.at(0, 0) = -5.0f;
+    EXPECT_EQ(source.privateStates(), (std::vector<int>{0}));
+    EXPECT_EQ(peer.at(0, 0), before.at(0, 0));
+    EXPECT_EQ(peer.bestAction(2), 1);
+    EXPECT_DOUBLE_EQ(peer.maxValue(2), 9.0);
+}
+
+TEST(QTable, CopyIsIndependentAndDense)
+{
+    QTable source(4, 3);
+    QTable peer = source.share();
+    peer.at(1, 2) = 3.0f;
+    const QTable copy = peer;
+    EXPECT_NE(copy.baseId(), peer.baseId());
+    EXPECT_TRUE(copy.privateStates().empty());
+    EXPECT_EQ(copy.at(1, 2), 3.0f);
+    // baseCopy leaves the private rows out.
+    const QTable base = peer.baseCopy();
+    EXPECT_EQ(base.at(1, 2), 0.0f);
+    // memoryBytes stays the logical payload however rows are stored.
+    EXPECT_EQ(peer.memoryBytes(), 4u * 3u * sizeof(float));
 }
 
 TEST(QTable, DimensionsReported)

@@ -164,8 +164,8 @@ TEST(Rng, StateRoundTripResumesExactly)
 TEST(RngJump, MatchesNaiveStepping)
 {
     // The GF(2) jump must land exactly where N next() calls land, for
-    // step counts spanning several bit patterns (including the Q-table
-    // randomize count 3072 * 66 the fleet warm-start path uses).
+    // step counts spanning several bit patterns (including 3072 * 66,
+    // the Q-table randomize a warm-started agent skips).
     for (const std::uint64_t steps :
          {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{2},
           std::uint64_t{257}, std::uint64_t{3072} * 66}) {

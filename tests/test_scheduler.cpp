@@ -162,6 +162,49 @@ TEST(Scheduler, TransferSeedsTheDestinationTable)
     EXPECT_EQ(copied, static_cast<int>(dst.actions().size()));
 }
 
+TEST(Scheduler, WarmStartSharesTheTableAndKeepsEveryDraw)
+{
+    // A warm-started scheduler must behave exactly like one that drew a
+    // random table and then copied the source's over it: same values,
+    // same exploration draws. It shares the source's base instead.
+    const sim::InferenceSimulator sim = mi8Sim();
+    AutoScaleScheduler source(sim, SchedulerConfig{}, 8);
+    const dnn::Network net = dnn::makeMobileNetV1();
+    const sim::InferenceRequest request = sim::makeRequest(net);
+    const env::EnvState env;
+    Rng rng(9);
+    for (int i = 0; i < 100; ++i) {
+        const sim::ExecutionTarget &target = source.choose(request, env);
+        source.feedback(sim.run(net, target, env, rng));
+    }
+    source.finishEpisode();
+    const QTable trained = source.agent().table();
+
+    AutoScaleScheduler copied(sim, SchedulerConfig{}, 10);
+    copied.transferFrom(source);
+    AutoScaleScheduler warm(sim, SchedulerConfig{}, 10, source);
+    EXPECT_EQ(warm.agent().table().baseId(),
+              source.agent().table().baseId());
+
+    for (int i = 0; i < 300; ++i) {
+        const sim::ExecutionTarget &a = copied.choose(request, env);
+        const sim::ExecutionTarget &b = warm.choose(request, env);
+        ASSERT_EQ(a, b) << "diverged at decision " << i;
+        ASSERT_EQ(copied.lastDecision().explored,
+                  warm.lastDecision().explored);
+        const sim::Outcome outcome = sim.expected(net, a, env);
+        copied.feedback(outcome);
+        warm.feedback(outcome);
+    }
+    // The peers' learning never reaches the source's values.
+    for (int s = 0; s < trained.numStates(); ++s) {
+        for (int act = 0; act < trained.numActions(); ++act) {
+            ASSERT_EQ(source.agent().table().at(s, act),
+                      trained.at(s, act));
+        }
+    }
+}
+
 TEST(Scheduler, EncoderAblationReducesStateSpace)
 {
     SchedulerConfig config;
