@@ -14,7 +14,7 @@
  * process is still small — a --memory-devices fleet (default 1000000)
  * of fixed-policy devices runs one contention epoch sweep with
  * aggregate stats, and --check fails unless it completes under
- * --memory-budget bytes/device (default 4096; measured ~2.2 KB).
+ * --memory-budget bytes/device (default 4096; measured ~1.7 KB).
  */
 
 #include <algorithm>

@@ -102,21 +102,75 @@ class OfflineBestPolicy : public SchedulingPolicy {
     decide(const sim::InferenceRequest &request, const env::EnvState &,
            Rng &) override
     {
-        const std::string &key = request.network->name();
-        auto it = cache_.find(key);
-        if (it == cache_.end()) {
-            it = cache_.emplace(key,
-                                pickOffline(sim_, request, candidates_))
-                     .first;
+        const sim::ExecutionTarget *pick = find(request);
+        if (pick == nullptr) {
+            // A frozen policy is shared by concurrent deciders, so it
+            // must never write.
+            AS_CHECK(!frozen_);
+            pick = &remember(request,
+                             pickOffline(sim_, request, candidates_));
         }
-        return makeTargetDecision(it->second);
+        return makeTargetDecision(*pick);
+    }
+
+    /** Profile every request of @p profile; decide() then only reads. */
+    void
+    freeze(const std::vector<sim::InferenceRequest> &profile)
+    {
+        for (const sim::InferenceRequest &request : profile) {
+            if (find(request) == nullptr) {
+                remember(request, pickOffline(sim_, request, candidates_));
+            }
+        }
+        frozen_ = true;
     }
 
   private:
+    /** A network's pick under one (QoS, accuracy target) pair. */
+    struct Pick {
+        double qosMs;
+        double accuracyTargetPct;
+        sim::ExecutionTarget target;
+    };
+
+    const sim::ExecutionTarget *
+    find(const sim::InferenceRequest &request) const
+    {
+        const auto id =
+            static_cast<std::size_t>(request.network->modelId());
+        if (id >= picks_.size()) {
+            return nullptr;
+        }
+        for (const Pick &pick : picks_[id]) {
+            if (pick.qosMs == request.qosMs
+                && pick.accuracyTargetPct == request.accuracyTargetPct) {
+                return &pick.target;
+            }
+        }
+        return nullptr;
+    }
+
+    const sim::ExecutionTarget &
+    remember(const sim::InferenceRequest &request,
+             const sim::ExecutionTarget &target)
+    {
+        const dnn::ModelId id = request.network->modelId();
+        AS_CHECK(id >= 0);
+        if (static_cast<std::size_t>(id) >= picks_.size()) {
+            picks_.resize(static_cast<std::size_t>(id) + 1);
+        }
+        std::vector<Pick> &picks = picks_[static_cast<std::size_t>(id)];
+        picks.push_back(
+            Pick{request.qosMs, request.accuracyTargetPct, target});
+        return picks.back().target;
+    }
+
     const sim::InferenceSimulator &sim_;
     std::string name_;
     std::vector<sim::ExecutionTarget> candidates_;
-    std::map<std::string, sim::ExecutionTarget> cache_;
+    /** Indexed by modelId; one entry per profiled target pair. */
+    std::vector<std::vector<Pick>> picks_;
+    bool frozen_ = false;
 };
 
 std::vector<sim::ExecutionTarget>
@@ -170,6 +224,24 @@ class CloudPolicy : public SchedulingPolicy {
     sim::ExecutionTarget target_;
 };
 
+std::unique_ptr<OfflineBestPolicy>
+edgeBest(const sim::InferenceSimulator &sim)
+{
+    return std::make_unique<OfflineBestPolicy>(
+        sim, "Edge (Best)",
+        localProcessorCandidates(sim.localDevice(),
+                                 sim::TargetPlace::Local));
+}
+
+std::unique_ptr<OfflineBestPolicy>
+connectedEdge(const sim::InferenceSimulator &sim)
+{
+    return std::make_unique<OfflineBestPolicy>(
+        sim, "Connected Edge",
+        localProcessorCandidates(sim.connectedDevice(),
+                                 sim::TargetPlace::ConnectedEdge));
+}
+
 } // namespace
 
 std::unique_ptr<SchedulingPolicy>
@@ -181,10 +253,7 @@ makeEdgeCpuFp32Policy(const sim::InferenceSimulator &sim)
 std::unique_ptr<SchedulingPolicy>
 makeEdgeBestPolicy(const sim::InferenceSimulator &sim)
 {
-    return std::make_unique<OfflineBestPolicy>(
-        sim, "Edge (Best)",
-        localProcessorCandidates(sim.localDevice(),
-                                 sim::TargetPlace::Local));
+    return edgeBest(sim);
 }
 
 std::unique_ptr<SchedulingPolicy>
@@ -196,10 +265,30 @@ makeCloudPolicy(const sim::InferenceSimulator &sim)
 std::unique_ptr<SchedulingPolicy>
 makeConnectedEdgePolicy(const sim::InferenceSimulator &sim)
 {
-    return std::make_unique<OfflineBestPolicy>(
-        sim, "Connected Edge",
-        localProcessorCandidates(sim.connectedDevice(),
-                                 sim::TargetPlace::ConnectedEdge));
+    return connectedEdge(sim);
+}
+
+std::unique_ptr<SchedulingPolicy>
+makeServingFixedPolicy(const std::string &name,
+                       const sim::InferenceSimulator &sim,
+                       const std::vector<sim::InferenceRequest> &profile)
+{
+    if (name == "cloud") {
+        return makeCloudPolicy(sim);
+    }
+    if (name == "edge-cpu") {
+        return makeEdgeCpuFp32Policy(sim);
+    }
+    std::unique_ptr<OfflineBestPolicy> policy;
+    if (name == "connected-edge") {
+        policy = connectedEdge(sim);
+    } else if (name == "edge-best") {
+        policy = edgeBest(sim);
+    } else {
+        return nullptr;
+    }
+    policy->freeze(profile);
+    return policy;
 }
 
 } // namespace autoscale::baselines

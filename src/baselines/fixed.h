@@ -13,9 +13,9 @@
 #ifndef AUTOSCALE_BASELINES_FIXED_H_
 #define AUTOSCALE_BASELINES_FIXED_H_
 
-#include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "baselines/policy.h"
 
@@ -28,7 +28,9 @@ std::unique_ptr<SchedulingPolicy> makeEdgeCpuFp32Policy(
 /**
  * Per-NN best local processor at top frequency, profiled offline with no
  * variance (CPU FP32, GPU FP32, or DSP INT8, whichever is most energy
- * efficient while meeting the request's constraints).
+ * efficient while meeting the request's constraints). The pick is
+ * profiled once per (network, QoS target, accuracy target) and then
+ * remembered.
  */
 std::unique_ptr<SchedulingPolicy> makeEdgeBestPolicy(
     const sim::InferenceSimulator &sim);
@@ -40,6 +42,17 @@ std::unique_ptr<SchedulingPolicy> makeCloudPolicy(
 /** Always the connected edge device (its best processor per NN). */
 std::unique_ptr<SchedulingPolicy> makeConnectedEdgePolicy(
     const sim::InferenceSimulator &sim);
+
+/**
+ * The fixed policy a serving run names: "cloud", "connected-edge",
+ * "edge-best" or "edge-cpu"; nullptr for any other name. The offline
+ * pick of every request in @p profile is computed here, so decide()
+ * only reads the policy and one instance can serve many devices at
+ * once. Deciding a request outside @p profile fails a check.
+ */
+std::unique_ptr<SchedulingPolicy> makeServingFixedPolicy(
+    const std::string &name, const sim::InferenceSimulator &sim,
+    const std::vector<sim::InferenceRequest> &profile);
 
 } // namespace autoscale::baselines
 

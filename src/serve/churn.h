@@ -96,7 +96,8 @@ class ChurnProcess {
     /**
      * Stop churning @p device (its run completed). Retired devices are
      * considered active (their DeviceLoop::advance is a no-op) and
-     * draw no further events.
+     * draw no further events. Writes only @p device's state, so the
+     * fleet's shard workers retire their own devices concurrently.
      */
     void retire(std::size_t device);
 

@@ -90,6 +90,20 @@ makeDevicePlan(const sim::InferenceSimulator &sim,
     }
     plan.nominalServiceMs =
         nominalServiceMs(sim, plan.networks, config.accuracyTargetPct);
+    if (!config.policyName.empty() && config.policyName != "autoscale") {
+        std::vector<sim::InferenceRequest> profile;
+        profile.reserve(plan.workloads.size());
+        for (const Workload &workload : plan.workloads) {
+            profile.push_back(workload.request);
+        }
+        plan.fixedPolicy = baselines::makeServingFixedPolicy(
+            config.policyName, sim, profile);
+        if (plan.fixedPolicy == nullptr) {
+            fatal("serve: unknown policy '" + config.policyName
+                  + "' (expected autoscale, cloud, connected-edge,"
+                    " edge-best, or edge-cpu)");
+        }
+    }
     return plan;
 }
 
@@ -152,29 +166,18 @@ DeviceState::init(std::uint64_t seed,
     const std::uint64_t policySeed = master.next();
 
     // --- Policy. Fixed baselines run the same loop (useful to expose
-    // the breaker and shedding machinery to remote-heavy traffic), but
-    // only the AutoScale learner has a Q-table to checkpoint. ---
-    if (config().policyName.empty() || config().policyName == "autoscale") {
+    // the breaker and shedding machinery to remote-heavy traffic)
+    // through the plan's one read-only instance; only the AutoScale
+    // learner is per device and has a Q-table to checkpoint. ---
+    if (plan->fixedPolicy != nullptr) {
+        policy = plan->fixedPolicy.get();
+    } else {
         // A fleet peer warm-starts from device 0, which already trained
         // (or loaded) this table, instead of repeating the work N times.
-        auto autoscale = harness::makeAutoScalePolicy(
+        learner = harness::makeAutoScalePolicy(
             sim(), policySeed, core::SchedulerConfig{}, warmStart);
-        learner = autoscale.get();
-        ownedPolicy = std::move(autoscale);
-    } else if (config().policyName == "cloud") {
-        ownedPolicy = baselines::makeCloudPolicy(sim());
-    } else if (config().policyName == "connected-edge") {
-        ownedPolicy = baselines::makeConnectedEdgePolicy(sim());
-    } else if (config().policyName == "edge-best") {
-        ownedPolicy = baselines::makeEdgeBestPolicy(sim());
-    } else if (config().policyName == "edge-cpu") {
-        ownedPolicy = baselines::makeEdgeCpuFp32Policy(sim());
-    } else {
-        fatal("serve: unknown policy '" + config().policyName
-              + "' (expected autoscale, cloud, connected-edge, edge-best,"
-                " or edge-cpu)");
+        policy = learner.get();
     }
-    policy = ownedPolicy.get();
     if (learner == nullptr
         && (!config().checkpointPath.empty()
             || !config().qtablePath.empty())) {
@@ -242,8 +245,10 @@ DeviceState::init(std::uint64_t seed,
     }
     // Serving keeps learning online (the paper's deployment mode), so
     // the loop itself is the convergence mechanism after a resume.
-    policy->setExploration(true);
-    policy->setLearning(true);
+    if (learner != nullptr) {
+        learner->setExploration(true);
+        learner->setLearning(true);
+    }
 
     // --- Loop state. ---
     scenario.emplace(config().scenario, config().faults);

@@ -11,7 +11,8 @@
  *  - `DevicePlan` — everything that is identical across a fleet's
  *    devices and immutable for the whole run: the simulator reference,
  *    the resolved ServeConfig template, the workload mix with its
- *    admission floors, and the nominal service time. A fleet builds
+ *    admission floors, the nominal service time, and a fixed-policy
+ *    run's one policy instance. A fleet builds
  *    one plan and every device points at it; a standalone device owns
  *    a private plan (`planOwner`), keeping single-device semantics
  *    unchanged.
@@ -21,7 +22,7 @@
  *    (one contiguous table fill, no per-device pimpl allocation).
  *    Everything a device's trajectory depends on lives here: the
  *    virtual clock, the RNG streams, the admission ring, breaker
- *    states, counters, and the policy.
+ *    states, counters, and the AutoScale learner.
  *
  * `DeviceLoop` (device_loop.h) remains the only mutation API — it is
  * now a thin view over one `DeviceState` — so the shards/jobs, churn,
@@ -105,12 +106,19 @@ struct DevicePlan {
     std::vector<Workload> workloads;
     /** Mean best-case service time (initial EWMA estimate), ms. */
     double nominalServiceMs = 0.0;
+    /**
+     * The run's fixed policy (cloud, connected-edge, edge-best or
+     * edge-cpu), its offline picks profiled on `workloads`' requests;
+     * null for the AutoScale learner, which each device owns. Every
+     * device decides through this one instance and only reads it.
+     */
+    std::unique_ptr<baselines::SchedulingPolicy> fixedPolicy;
 };
 
 /**
- * Resolve the workload mix, admission floors, and nominal service
- * time for @p config (fatal on an unknown --network filter). Pure:
- * consumes no RNG stream.
+ * Resolve the workload mix, admission floors, nominal service time and
+ * fixed policy for @p config (fatal on an unknown --network filter or
+ * policy name). Pure: consumes no RNG stream.
  */
 DevicePlan makeDevicePlan(const sim::InferenceSimulator &sim,
                           const ServeConfig &config);
@@ -188,10 +196,10 @@ struct DeviceState {
     Rng execRng;
     Rng workloadRng;
 
-    /** Decision policy (owned; learner is set for AutoScale). */
+    /** Decision policy: the plan's fixedPolicy or `learner`. */
     baselines::SchedulingPolicy *policy = nullptr;
-    std::unique_ptr<baselines::SchedulingPolicy> ownedPolicy;
-    harness::AutoScalePolicy *learner = nullptr;
+    /** This device's own AutoScale learner; null for fixed policies. */
+    std::unique_ptr<harness::AutoScalePolicy> learner;
     std::unique_ptr<CheckpointManager> manager;
     std::int64_t startStep = 0;
 

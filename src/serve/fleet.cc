@@ -23,6 +23,7 @@
 #include "util/mem.h"
 #include "util/stats.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 
 namespace autoscale::serve {
 
@@ -511,12 +512,24 @@ runFleet(const sim::InferenceSimulator &sim, const FleetConfig &config,
     }
 
     // --- The epoch loop: advance every device to the next virtual-time
-    // barrier under a frozen contention snapshot, then fold usage and
-    // merge tables in device-index order. Shards partition contiguous
-    // device ranges; nothing inside an epoch crosses devices, so the
-    // partitioning is output-invariant. ---
+    // barrier under a frozen contention snapshot, then build the next
+    // snapshot from per-device usage and merge tables in device-index
+    // order. Shards partition contiguous device ranges; nothing inside
+    // an epoch crosses devices, so the partitioning is
+    // output-invariant. ---
     SharedInfra infra(config.infra);
     std::vector<EpochUsage> usage(n);
+    // Whether every device of a shard finished, per shard and epoch
+    // (char, not vector<bool>: workers write neighbouring slots).
+    std::vector<char> shardDone(shards);
+    // One pool for the fleet's lifetime; each epoch's shards run on it.
+    // With one worker the shards run inline on this thread.
+    const std::size_t workers =
+        jobs > 1 ? std::min(static_cast<std::size_t>(jobs), shards) : 1;
+    std::optional<ThreadPool> pool;
+    if (workers > 1) {
+        pool.emplace(static_cast<int>(workers));
+    }
 
     // --- Churn (DESIGN.md §17). The state machine advances on this
     // thread only, at barriers, in device-index order; its draws are
@@ -616,30 +629,41 @@ runFleet(const sim::InferenceSimulator &sim, const FleetConfig &config,
             stats.offlineDeviceEpochs += churn->offlineCount();
         }
 
+        // Each shard advances its devices and folds their barrier
+        // bookkeeping as it goes: the epoch's usage, completion, and
+        // churn retirement. All of it writes only the device's own
+        // slots, so no serial pass over the fleet follows.
         const double barrierMs = epochStartMs + config.epochMs;
-        harness::parallelIndexed(shards, jobs, [&](std::size_t shard) {
+        auto advanceShard = [&](std::size_t shard) {
             const std::size_t begin = shard * perShard;
             const std::size_t end = std::min(n, begin + perShard);
+            bool allDone = true;
             for (std::size_t d = begin; d < end; ++d) {
                 if (churn && !churn->active(d)) {
                     devices[d].advanceOffline(barrierMs, epoch);
                 } else {
                     devices[d].advance(barrierMs, &snapshot, epoch);
                 }
+                usage[d] = devices[d].takeEpochUsage();
+                const bool done = devices[d].done();
+                if (done && churn) {
+                    churn->retire(d);
+                }
+                allDone = allDone && done;
             }
-            return 0;
-        });
-        ++stats.epochs;
-
-        bool allDone = true;
-        for (std::size_t d = 0; d < n; ++d) {
-            usage[d] = devices[d].takeEpochUsage();
-            const bool done = devices[d].done();
-            if (done && churn) {
-                churn->retire(d);
+            shardDone[shard] = allDone;
+        };
+        if (pool) {
+            pool->parallelFor(shards, advanceShard);
+        } else {
+            for (std::size_t shard = 0; shard < shards; ++shard) {
+                advanceShard(shard);
             }
-            allDone = allDone && done;
         }
+        ++stats.epochs;
+        const bool allDone =
+            std::all_of(shardDone.begin(), shardDone.end(),
+                        [](char done) { return done != 0; });
 
         if (schedulers.size() > 1
             && (config.qMode == QTableMode::Shared

@@ -6,8 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
+#include <utility>
+#include <vector>
+
 #include "baselines/fixed.h"
 #include "dnn/model_zoo.h"
+#include "obs/metrics_registry.h"
 #include "platform/device_zoo.h"
 
 namespace autoscale::baselines {
@@ -104,6 +110,103 @@ TEST(EdgeBest, DecisionIsCachedPerNetwork)
     hog.coCpuUtil = 0.9;
     const Decision second = policy->decide(request, hog, rng);
     EXPECT_TRUE(first.target == second.target);
+}
+
+/** One of the public fixed-policy factories. */
+using Factory =
+    std::unique_ptr<SchedulingPolicy> (*)(const sim::InferenceSimulator &);
+
+/** Every zoo network's plain and (vision only) streaming request. */
+std::vector<sim::InferenceRequest>
+zooRequests(double accuracyTargetPct)
+{
+    std::vector<sim::InferenceRequest> requests;
+    for (const dnn::Network &net : dnn::modelZoo()) {
+        requests.push_back(sim::makeRequest(net, accuracyTargetPct));
+        if (net.task() != dnn::Task::Translation) {
+            requests.push_back(
+                sim::makeStreamingRequest(net, accuracyTargetPct));
+        }
+    }
+    return requests;
+}
+
+TEST(OfflinePick, FollowsTheWholeRequestNotJustTheNetwork)
+{
+    // One instance deciding requests in sequence must pick what a fresh
+    // instance picks for each: the offline pick depends on the QoS and
+    // accuracy targets, not only on the network. (Edge (Best) on
+    // Inception v1 at 70% must not reuse the DSP INT8 pick it made at
+    // 0%: INT8 misses that accuracy target.)
+    const sim::InferenceSimulator sim = mi8Sim();
+    for (const Factory make :
+         {&makeEdgeBestPolicy, &makeConnectedEdgePolicy}) {
+        const std::unique_ptr<SchedulingPolicy> reused = make(sim);
+        Rng rng(9);
+        for (const double target : {0.0, 50.0, 65.0, 70.0}) {
+            for (const sim::InferenceRequest &request :
+                 zooRequests(target)) {
+                const Decision fresh =
+                    make(sim)->decide(request, env::EnvState{}, rng);
+                const Decision again =
+                    reused->decide(request, env::EnvState{}, rng);
+                EXPECT_TRUE(again.target == fresh.target)
+                    << reused->name() << " " << request.network->name()
+                    << " qos " << request.qosMs << " target " << target;
+            }
+        }
+    }
+}
+
+TEST(ServingFixedPolicy, DecidesItsProfileWithoutProfilingAgain)
+{
+    // The serving form of each fixed policy profiles its requests up
+    // front; deciding them afterwards only reads the policy (no
+    // simulator call), and picks what the lazily profiling form picks.
+    sim::InferenceSimulator sim = mi8Sim();
+    obs::MetricsRegistry metrics;
+    sim.setObserver(&metrics);
+    const obs::Counter &expected = metrics.counter("sim.expected");
+    const std::vector<sim::InferenceRequest> profile = zooRequests(65.0);
+    const std::vector<std::pair<const char *, Factory>> policies = {
+        {"cloud", &makeCloudPolicy},
+        {"connected-edge", &makeConnectedEdgePolicy},
+        {"edge-best", &makeEdgeBestPolicy},
+        {"edge-cpu", &makeEdgeCpuFp32Policy},
+    };
+    Rng rng(10);
+    for (const auto &[name, make] : policies) {
+        const std::unique_ptr<SchedulingPolicy> lazy = make(sim);
+        const std::unique_ptr<SchedulingPolicy> serving =
+            makeServingFixedPolicy(name, sim, profile);
+        ASSERT_NE(serving, nullptr) << name;
+        EXPECT_EQ(serving->name(), lazy->name());
+        for (const sim::InferenceRequest &request : profile) {
+            const Decision want =
+                lazy->decide(request, env::EnvState{}, rng);
+            const std::int64_t before = expected.value();
+            const Decision got =
+                serving->decide(request, env::EnvState{}, rng);
+            EXPECT_EQ(expected.value(), before) << name;
+            EXPECT_TRUE(got.target == want.target)
+                << name << " " << request.network->name();
+        }
+    }
+    EXPECT_EQ(makeServingFixedPolicy("autoscale", sim, profile), nullptr);
+}
+
+TEST(ServingFixedPolicyDeath, RefusesToProfileARequestOutsideItsProfile)
+{
+    // A serving policy is shared by concurrent deciders, so a request
+    // it was not profiled on fails loudly instead of writing the table.
+    const sim::InferenceSimulator sim = mi8Sim();
+    const std::unique_ptr<SchedulingPolicy> serving =
+        makeServingFixedPolicy("edge-best", sim, zooRequests(50.0));
+    const dnn::Network net = dnn::makeInceptionV1();
+    Rng rng(11);
+    EXPECT_DEATH(serving->decide(sim::makeRequest(net, 70.0),
+                                 env::EnvState{}, rng),
+                 "check failed");
 }
 
 TEST(Cloud, AlwaysPicksTheServerGpu)

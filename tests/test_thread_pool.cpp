@@ -127,6 +127,26 @@ TEST(ThreadPool, ConstructRunDestroyCyclesNeverHang)
     EXPECT_EQ(total.load(), kDrivers * kCyclesPerDriver * 4);
 }
 
+// A fleet keeps one pool for its whole run and hands it each epoch's
+// 4-5 shards, so its workers go to sleep between rounds and are woken
+// by the next round's submits. Every round must run each index exactly
+// once and return; a lost wakeup hangs parallelFor, which the ctest
+// TIMEOUT turns into a failure.
+TEST(ThreadPool, ParallelForReusesOnePoolAcrossManyCalls)
+{
+    constexpr int kRounds = 4000;
+    ThreadPool pool(4);
+    std::vector<std::atomic<int>> runs(5);
+    for (int round = 0; round < kRounds; ++round) {
+        const std::size_t tasks = 4 + static_cast<std::size_t>(round % 2);
+        pool.parallelFor(tasks, [&runs](std::size_t i) { ++runs[i]; });
+        for (std::size_t i = 0; i < runs.size(); ++i) {
+            ASSERT_EQ(runs[i].exchange(0), i < tasks ? 1 : 0)
+                << "round " << round << " index " << i;
+        }
+    }
+}
+
 TEST(ThreadPool, MoreThreadsThanTasks)
 {
     ThreadPool pool(8);
