@@ -64,23 +64,48 @@ percentile(std::vector<double> values, double p)
     return values[lo] * (1.0 - frac) + values[hi] * frac;
 }
 
-double
-percentileNearestRank(std::vector<double> values, double p)
+namespace {
+
+/** 0-based sorted index of the nearest-rank @p p percentile of @p n > 0
+ * samples. */
+std::size_t
+nearestRankIndex(std::size_t n, double p)
 {
-    AS_CHECK(p >= 0.0 && p <= 100.0);
-    if (values.empty()) {
-        return 0.0;
-    }
-    const double rank = p / 100.0 * static_cast<double>(values.size());
+    const double rank = p / 100.0 * static_cast<double>(n);
     // ceil(rank) is the 1-based nearest rank; clamp to [1, n] before the
     // 0-based conversion so p0 cannot underflow and p100 cannot read one
     // past the end.
-    const std::size_t index = std::min(
-        values.size() - 1,
+    return std::min(
+        n - 1,
         static_cast<std::size_t>(std::max(0.0, std::ceil(rank) - 1.0)));
-    auto nth = values.begin() + static_cast<std::ptrdiff_t>(index);
-    std::nth_element(values.begin(), nth, values.end());
-    return *nth;
+}
+
+} // namespace
+
+double
+percentileNearestRank(std::vector<double> values, double p)
+{
+    return percentilesNearestRank(values, p, p).first;
+}
+
+std::pair<double, double>
+percentilesNearestRank(std::vector<double> &values, double lower,
+                       double upper)
+{
+    AS_CHECK(lower >= 0.0 && lower <= upper && upper <= 100.0);
+    if (values.empty()) {
+        return {0.0, 0.0};
+    }
+    const auto low = values.begin()
+        + static_cast<std::ptrdiff_t>(nearestRankIndex(values.size(), lower));
+    const auto high = values.begin()
+        + static_cast<std::ptrdiff_t>(nearestRankIndex(values.size(), upper));
+    std::nth_element(values.begin(), low, values.end());
+    // Everything after `low` is >= it, so the upper rank lies there.
+    if (high != low) {
+        std::nth_element(low + 1, high, values.end());
+    }
+    return {*low, *high};
 }
 
 double

@@ -10,6 +10,7 @@
 #define AUTOSCALE_UTIL_STATS_H_
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 namespace autoscale {
@@ -42,6 +43,16 @@ double percentile(std::vector<double> values, double p);
  * nth_element (expected O(n)) rather than a full sort.
  */
 double percentileNearestRank(std::vector<double> values, double p);
+
+/**
+ * Nearest-rank percentiles @p lower <= @p upper of @p values, each equal
+ * to what percentileNearestRank returns, from one buffer without a
+ * copy: it selects @p lower with nth_element, then @p upper within the
+ * part above it, so @p values is left reordered.
+ */
+std::pair<double, double>
+percentilesNearestRank(std::vector<double> &values, double lower,
+                       double upper);
 
 /** Mean absolute percentage error between predictions and actuals (in %). */
 double mape(const std::vector<double> &predicted,

@@ -5,7 +5,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <utility>
+#include <vector>
 
+#include "util/rng.h"
 #include "util/stats.h"
 
 namespace autoscale {
@@ -68,6 +71,36 @@ TEST(Stats, PercentileNearestRankOddLength)
     EXPECT_DOUBLE_EQ(percentileNearestRank(values, 50.0), 3.0);
     EXPECT_DOUBLE_EQ(percentileNearestRank(values, 99.0), 5.0);
     EXPECT_DOUBLE_EQ(percentileNearestRank(values, 100.0), 5.0);
+}
+
+TEST(Stats, PercentilePairMatchesSeparateNearestRankCalls)
+{
+    // One buffer, two selections: each result must be exactly what a
+    // separate percentileNearestRank call returns, ties included.
+    Rng rng(61);
+    const std::pair<double, double> ranks[] = {
+        {50.0, 99.0}, {0.0, 100.0}, {50.0, 50.0}, {1.0, 2.0},
+        {99.0, 99.9}, {0.0, 0.0},   {100.0, 100.0}};
+    for (const std::size_t n :
+         {std::size_t{0}, std::size_t{1}, std::size_t{2}, std::size_t{3},
+          std::size_t{10}, std::size_t{101}, std::size_t{1000}}) {
+        for (int trial = 0; trial < 8; ++trial) {
+            std::vector<double> values(n);
+            for (double &value : values) {
+                // Few distinct values, so most samples tie.
+                value = static_cast<double>(rng.uniformInt(7)) * 0.5;
+            }
+            for (const auto &[lower, upper] : ranks) {
+                std::vector<double> buffer = values;
+                const auto [low, high] =
+                    percentilesNearestRank(buffer, lower, upper);
+                EXPECT_EQ(low, percentileNearestRank(values, lower))
+                    << "n " << n << " p" << lower;
+                EXPECT_EQ(high, percentileNearestRank(values, upper))
+                    << "n " << n << " p" << upper;
+            }
+        }
+    }
 }
 
 TEST(Stats, PercentileNearestRankEvenLength)
