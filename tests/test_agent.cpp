@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <deque>
 #include <vector>
 
@@ -73,6 +74,25 @@ TEST(AgentDeath, VisitCountChecksStateAndActionSeparately)
     EXPECT_DEATH(agent.visitCount(0, 2), "check failed");
     EXPECT_DEATH(agent.visitCount(0, -1), "check failed");
     EXPECT_DEATH(agent.visitCount(3, 0), "check failed");
+}
+
+TEST(Agent, WarmStartDrawsLikeAColdStartPastTheJumpExpansion)
+{
+    // A warm-started agent skips its table's random initialization by
+    // an RNG jump, which switches to its matrix form after 256 warm
+    // starts of one table size. Before and after the switch, it must
+    // draw exactly what a cold-started agent with the same seed draws.
+    QLearningConfig config = paperConfig();
+    config.epsilon = 1.0; // every selectAction draws from the RNG
+    const QLearningAgent source(13, 7, config, Rng(5));
+    for (std::uint64_t seed = 0; seed < 600; ++seed) {
+        QLearningAgent warm(source.table(), config, Rng(seed));
+        QLearningAgent cold(13, 7, config, Rng(seed));
+        for (int draw = 0; draw < 8; ++draw) {
+            ASSERT_EQ(warm.selectAction(0), cold.selectAction(0))
+                << "seed " << seed << ", draw " << draw;
+        }
+    }
 }
 
 TEST(Agent, NegativeRewardLowersValue)
