@@ -323,9 +323,9 @@ main(int argc, char **argv)
             + " devices; 1000-device 2x-contention fleet completes; "
               "checksum bit-equal across shard counts");
 
-    // Memory gate first: peak RSS (VmHWM) is monotone, so the
-    // million-device footprint is only attributable while nothing
-    // larger has run in this process yet.
+    // Memory gate first: runFleet charges the RSS it samples above
+    // its entry RSS, so heap that earlier cells freed but the process
+    // kept resident would absorb the gate's allocations and hide them.
     const MemoryGate memGate = runMemoryGate(memoryDevices, memoryBudget,
                                              seed);
     std::cout << "memory gate: " << memGate.devices << " devices, peak "

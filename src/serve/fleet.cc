@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -418,6 +419,40 @@ mergedQTableSnapshot(
     return snapshot;
 }
 
+std::size_t
+fleetShardCount(const FleetConfig &config)
+{
+    const std::size_t n = static_cast<std::size_t>(config.devices);
+    const std::size_t perShard = static_cast<std::size_t>(kDevicesPerShard);
+    return std::min(n, std::max(static_cast<std::size_t>(config.shards),
+                                (n + perShard - 1) / perShard));
+}
+
+namespace {
+
+/**
+ * What the fleet's device-order fold reads of one finished device: the
+ * checksum inputs, the clock, and the floating-point totals, whose sum
+ * must run in device order to stay bit-exact.
+ */
+struct DeviceTotals {
+    std::uint64_t rngFingerprint = 0;
+    std::int64_t served = 0;
+    std::int64_t shedChurn = 0;
+    double energyJ = 0.0;
+    double wastedEnergyJ = 0.0;
+    double endClockMs = 0.0;
+};
+
+DeviceTotals
+totalsOf(const ServeStats &device)
+{
+    return {device.rngFingerprint, device.served,        device.shedChurn,
+            device.energyJ,        device.wastedEnergyJ, device.endClockMs};
+}
+
+} // namespace
+
 FleetStats
 runFleet(const sim::InferenceSimulator &sim, const FleetConfig &config,
          const obs::ObsContext &obs)
@@ -436,11 +471,42 @@ runFleet(const sim::InferenceSimulator &sim, const FleetConfig &config,
     }
     const int jobs =
         config.jobs > 0 ? config.jobs : harness::defaultJobs();
-    const std::size_t shards =
-        std::min(n, static_cast<std::size_t>(config.shards));
+    const std::size_t shards = fleetShardCount(config);
     const std::size_t perShard = (n + shards - 1) / shards;
+    // Shard s owns devices [begin, end); trailing shards may be empty.
+    auto shardRange = [&](std::size_t shard) {
+        const std::size_t begin = std::min(n, shard * perShard);
+        return std::make_pair(begin, std::min(n, begin + perShard));
+    };
+    // Memory is charged as the largest RSS sampled during this run over
+    // the RSS at entry, never the process-lifetime peak.
     const std::uint64_t rssBaseline =
         config.reportMemory ? util::currentRssBytes() : 0;
+    std::uint64_t rssPeak = 0;
+    auto sampleRss = [&] {
+        if (config.reportMemory) {
+            rssPeak = std::max(rssPeak, util::currentRssBytes());
+        }
+    };
+
+    // One pool for the fleet's lifetime: every O(N) phase (construction,
+    // each epoch, finish, teardown) runs one task per shard on it. With
+    // one worker the shards run inline on this thread.
+    const std::size_t workers =
+        jobs > 1 ? std::min(static_cast<std::size_t>(jobs), shards) : 1;
+    std::optional<ThreadPool> pool;
+    if (workers > 1) {
+        pool.emplace(static_cast<int>(workers));
+    }
+    auto forEachShard = [&](const std::function<void(std::size_t)> &body) {
+        if (pool) {
+            pool->parallelFor(shards, body);
+        } else {
+            for (std::size_t shard = 0; shard < shards; ++shard) {
+                body(shard);
+            }
+        }
+    };
 
     // --- Observability sinks. Devices record concurrently; the parent
     // sinks receive an index-ordered flush after the run, so exported
@@ -496,14 +562,16 @@ runFleet(const sim::InferenceSimulator &sim, const FleetConfig &config,
     }
 
     // --- Devices (DESIGN.md §18): one immutable plan shared by every
-    // device, one contiguous record array (reserved up front — the
-    // DeviceLoop views hold stable pointers into it), and one batch
-    // decision engine per shard (its gather state is per-tick and
+    // device, one contiguous record array per shard (reserved up front
+    // — the DeviceLoop views hold stable pointers into it), and one
+    // batch decision engine per shard (its gather state is per-tick and
     // devices within a shard run sequentially, so sharing is
     // output-identical). Device 0 keeps the master seed and runs the
-    // Q-table provenance (checkpoint > --qtable > pre-training); every
-    // peer i warm-starts from its table with seed
-    // replicateSeed(master, i). ---
+    // Q-table provenance (checkpoint > --qtable > pre-training) on this
+    // thread; then every shard builds its peers on the pool, each peer
+    // i warm-starting from device 0's table with seed
+    // replicateSeed(master, i), a pure function of (plan, i, device 0).
+    // ---
     const DevicePlan plan = makeDevicePlan(sim, deviceConfig);
     std::vector<std::unique_ptr<sim::BatchDecisionEngine>> shardEngines;
     if (deviceConfig.batchSize >= 1) {
@@ -513,31 +581,41 @@ runFleet(const sim::InferenceSimulator &sim, const FleetConfig &config,
                 sim, static_cast<std::size_t>(deviceConfig.batchSize)));
         }
     }
-    std::vector<DeviceState> records;
-    records.reserve(n);
-    std::vector<DeviceLoop> devices;
-    devices.reserve(n);
+    std::vector<std::vector<DeviceState>> records(shards);
     const core::AutoScaleScheduler *warm = nullptr;
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t shard = i / perShard;
+    auto buildDevice = [&](std::size_t shard, std::size_t i) {
         obs::ObsContext deviceObs;
         if (obs.tracing()) {
             deviceObs.trace = &shardTraces[shard];
         }
-        records.emplace_back(
+        DeviceState &record = records[shard].emplace_back(
             plan, deviceObs, static_cast<int>(i),
             i == 0 ? config.serve.seed
                    : harness::replicateSeed(config.serve.seed, i),
             warm,
             shardEngines.empty() ? nullptr : shardEngines[shard].get());
         if (obs.metering()) {
-            records.back().block = &blocks[i];
+            record.block = &blocks[i];
         }
-        devices.emplace_back(&records.back());
-        if (i == 0) {
-            warm = devices[0].scheduler();
+    };
+    records[0].reserve(shardRange(0).second);
+    buildDevice(0, 0);
+    warm = DeviceLoop(&records[0].front()).scheduler();
+    forEachShard([&](std::size_t shard) {
+        const auto [begin, end] = shardRange(shard);
+        records[shard].reserve(end - begin);
+        for (std::size_t i = std::max<std::size_t>(begin, 1); i < end; ++i) {
+            buildDevice(shard, i);
+        }
+    });
+    std::vector<DeviceLoop> devices;
+    devices.reserve(n);
+    for (std::vector<DeviceState> &shardRecords : records) {
+        for (DeviceState &record : shardRecords) {
+            devices.emplace_back(&record);
         }
     }
+    sampleRss();
 
     std::vector<core::AutoScaleScheduler *> schedulers;
     if (learnerPolicy) {
@@ -558,14 +636,6 @@ runFleet(const sim::InferenceSimulator &sim, const FleetConfig &config,
     // Whether every device of a shard finished, per shard and epoch
     // (char, not vector<bool>: workers write neighbouring slots).
     std::vector<char> shardDone(shards);
-    // One pool for the fleet's lifetime; each epoch's shards run on it.
-    // With one worker the shards run inline on this thread.
-    const std::size_t workers =
-        jobs > 1 ? std::min(static_cast<std::size_t>(jobs), shards) : 1;
-    std::optional<ThreadPool> pool;
-    if (workers > 1) {
-        pool.emplace(static_cast<int>(workers));
-    }
 
     // --- Churn (DESIGN.md §17). The state machine advances on this
     // thread only, at barriers, in device-index order; its draws are
@@ -671,8 +741,7 @@ runFleet(const sim::InferenceSimulator &sim, const FleetConfig &config,
         // slots, so no serial pass over the fleet follows.
         const double barrierMs = epochStartMs + config.epochMs;
         auto advanceShard = [&](std::size_t shard) {
-            const std::size_t begin = shard * perShard;
-            const std::size_t end = std::min(n, begin + perShard);
+            const auto [begin, end] = shardRange(shard);
             bool allDone = true;
             for (std::size_t d = begin; d < end; ++d) {
                 if (churn && !churn->active(d)) {
@@ -689,13 +758,7 @@ runFleet(const sim::InferenceSimulator &sim, const FleetConfig &config,
             }
             shardDone[shard] = allDone;
         };
-        if (pool) {
-            pool->parallelFor(shards, advanceShard);
-        } else {
-            for (std::size_t shard = 0; shard < shards; ++shard) {
-                advanceShard(shard);
-            }
-        }
+        forEachShard(advanceShard);
         ++stats.epochs;
         const bool allDone =
             std::all_of(shardDone.begin(), shardDone.end(),
@@ -749,6 +812,7 @@ runFleet(const sim::InferenceSimulator &sim, const FleetConfig &config,
             return stats;
         }
 
+        sampleRss();
         if (allDone) {
             break;
         }
@@ -765,15 +829,53 @@ runFleet(const sim::InferenceSimulator &sim, const FleetConfig &config,
               + "; the manifest does not belong to this configuration");
     }
 
-    // --- Finalize and flush in device-index order. Aggregate mode
-    // folds the same per-device values into the same checksum; it
-    // merely skips storing the per-device ServeStats. ---
-    if (!config.aggregateStats) {
-        stats.devices.reserve(n);
+    // --- Finalize on the pool, then fold in device-index order. Each
+    // shard finishes its devices; aggregate mode keeps only the words
+    // the ordered fold needs per device (DeviceTotals) and sums the
+    // integer counts per shard, so no per-device ServeStats survives.
+    // One serial pass then folds the checksum, the clock and the
+    // floating-point totals in device order, the same arithmetic in
+    // the same order as a serial finish. ---
+    std::vector<DeviceTotals> totals;
+    std::vector<FleetAggregate> shardCounts;
+    if (config.aggregateStats) {
+        totals.resize(n);
+        shardCounts.resize(shards);
+    } else {
+        stats.devices.resize(n);
+    }
+    forEachShard([&](std::size_t shard) {
+        const auto [begin, end] = shardRange(shard);
+        for (std::size_t d = begin; d < end; ++d) {
+            ServeStats device = devices[d].finish();
+            if (!config.aggregateStats) {
+                stats.devices[d] = std::move(device);
+                continue;
+            }
+            totals[d] = totalsOf(device);
+            FleetAggregate &counts = shardCounts[shard];
+            counts.arrivals += device.arrivals;
+            counts.served += device.served;
+            counts.shed += device.shedOverflow + device.shedDeadline
+                + device.shedStale;
+            counts.shedChurn += device.shedChurn;
+            counts.degraded += device.degraded;
+            counts.qosViolations += device.qosViolations;
+        }
+    });
+    for (const FleetAggregate &counts : shardCounts) {
+        stats.aggregate.arrivals += counts.arrivals;
+        stats.aggregate.served += counts.served;
+        stats.aggregate.shed += counts.shed;
+        stats.aggregate.shedChurn += counts.shedChurn;
+        stats.aggregate.degraded += counts.degraded;
+        stats.aggregate.qosViolations += counts.qosViolations;
     }
     std::uint64_t checksum = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        ServeStats device = devices[i].finish();
+    for (std::size_t d = 0; d < n; ++d) {
+        const DeviceTotals device = config.aggregateStats
+            ? totals[d]
+            : totalsOf(stats.devices[d]);
         stats.endClockMs = std::max(stats.endClockMs, device.endClockMs);
         checksum = mixChecksum(checksum, device.rngFingerprint);
         checksum = mixChecksum(
@@ -785,20 +887,12 @@ runFleet(const sim::InferenceSimulator &sim, const FleetConfig &config,
         checksum = mixChecksum(
             checksum, std::bit_cast<std::uint64_t>(device.endClockMs));
         if (config.aggregateStats) {
-            stats.aggregate.arrivals += device.arrivals;
-            stats.aggregate.served += device.served;
-            stats.aggregate.shed += device.shedOverflow
-                + device.shedDeadline + device.shedStale;
-            stats.aggregate.shedChurn += device.shedChurn;
-            stats.aggregate.degraded += device.degraded;
-            stats.aggregate.qosViolations += device.qosViolations;
             stats.aggregate.energyJ += device.energyJ;
             stats.aggregate.wastedEnergyJ += device.wastedEnergyJ;
-        } else {
-            stats.devices.push_back(std::move(device));
         }
     }
     stats.checksum = checksum;
+    sampleRss();
 
     if (obs.tracing()) {
         // A shard buffer interleaves its devices' events; a stable sort
@@ -849,11 +943,18 @@ runFleet(const sim::InferenceSimulator &sim, const FleetConfig &config,
         stats.qtableDump = dump.str();
     }
 
+    // Each shard frees its own records on the pool; the views are
+    // dangling from here on.
+    devices.clear();
+    forEachShard([&](std::size_t shard) {
+        std::vector<DeviceState>().swap(records[shard]);
+    });
+
     if (config.reportMemory) {
-        stats.peakRssBytes = util::peakRssBytes();
-        if (stats.peakRssBytes > rssBaseline) {
+        stats.peakRssBytes = rssPeak;
+        if (rssPeak > rssBaseline) {
             stats.bytesPerDevice =
-                static_cast<double>(stats.peakRssBytes - rssBaseline)
+                static_cast<double>(rssPeak - rssBaseline)
                 / static_cast<double>(n);
         }
     }
@@ -868,7 +969,7 @@ printFleetReport(std::ostream &os, const FleetConfig &config,
     {
         Table table({"metric", "value"});
         table.addRow({"devices", std::to_string(config.devices)});
-        table.addRow({"shards", std::to_string(config.shards)});
+        table.addRow({"shards", std::to_string(fleetShardCount(config))});
         table.addRow({"q-mode", qTableModeName(config.qMode)});
         table.addRow({"epochs", std::to_string(stats.epochs)});
         table.addRow({"epoch (ms)", Table::num(config.epochMs)});

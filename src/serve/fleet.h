@@ -27,6 +27,7 @@
 #ifndef AUTOSCALE_SERVE_FLEET_H_
 #define AUTOSCALE_SERVE_FLEET_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -71,7 +72,11 @@ struct FleetConfig {
      */
     ServeConfig serve;
     int devices = 1;
-    /** Work partitions (pure parallelism knob; never affects output). */
+    /**
+     * Minimum partition count (a pure parallelism knob; never affects
+     * output). A fleet larger than kDevicesPerShard x shards runs with
+     * more partitions; see fleetShardCount.
+     */
     int shards = 4;
     /** Worker threads; <= 0 means one per hardware thread. */
     int jobs = 0;
@@ -189,13 +194,17 @@ struct FleetStats {
     double endClockMs = 0.0;
 
     // --- Memory footprint (FleetConfig::reportMemory only). ---
-    /** Peak RSS (VmHWM) at the end of the run, bytes; 0 = unmeasured. */
+    /**
+     * Largest resident set size sampled during the run (after
+     * construction, at every barrier, and after finish), bytes;
+     * 0 = unmeasured.
+     */
     std::uint64_t peakRssBytes = 0;
     /**
-     * (peak RSS - RSS at runFleet entry) / devices. The process-wide
-     * VmHWM is monotone, so a run that never out-peaked earlier phases
-     * reads 0 — bench_fleet runs its memory gate before the throughput
-     * sweep for exactly this reason.
+     * (peakRssBytes - RSS at runFleet entry) / devices, or 0 if the
+     * run never rose above its entry RSS. Only this run is charged: a
+     * larger peak earlier in the process does not count, and neither
+     * does a transient peak between two samples.
      */
     double bytesPerDevice = 0.0;
     /**
@@ -224,6 +233,21 @@ struct FleetStats {
     std::pair<double, double> latencyPercentilesMs(double lower,
                                                    double upper) const;
 };
+
+/**
+ * Devices per partition above which a fleet runs with more partitions
+ * than FleetConfig::shards asks for, so an epoch splits into tasks
+ * small enough for the pool's work stealing to balance.
+ */
+inline constexpr int kDevicesPerShard = 1024;
+
+/**
+ * The partition count runFleet uses:
+ * min(devices, max(shards, ceil(devices / kDevicesPerShard))). A
+ * fleet of at most kDevicesPerShard x shards devices keeps exactly the
+ * partition it asked for.
+ */
+std::size_t fleetShardCount(const FleetConfig &config);
 
 /**
  * Visit-count-weighted Q-table merge across @p schedulers: each cell

@@ -828,7 +828,7 @@ cmdServe(const Args &args)
                   << sim.localDevice().name() << ", scenario "
                   << env::scenarioName(config.scenario) << ", q-mode "
                   << serve::qTableModeName(fleet.qMode) << ", "
-                  << fleet.shards << " shards...\n";
+                  << serve::fleetShardCount(fleet) << " shards...\n";
         const serve::FleetStats stats =
             serve::runFleet(sim, fleet, obs_out.context());
         if (stats.halted) {
@@ -923,8 +923,9 @@ usage()
         "                              circuit breakers, crash-safe\n"
         "                              Q-table checkpoints\n"
         "  serve --fleet N              fleet mode: N devices contending\n"
-        "        [--shards N]          work partitions (output-invariant,\n"
-        "                              default 4)\n"
+        "        [--shards N]          minimum partition count\n"
+        "                              (output-invariant, default 4;\n"
+        "                              at least one per 1024 devices)\n"
         "        [--jobs N]            worker threads\n"
         "        [--q-mode per-device|shared|federated]\n"
         "        [--merge-epochs N]    federated merge period (default 8)\n"
