@@ -50,6 +50,39 @@ parityConfig(const std::string &faultPreset, double rateX,
     return config;
 }
 
+/** FNV-1a 64: a stable digest for pinning exported bytes. */
+std::uint64_t
+fnv1a(const std::string &bytes)
+{
+    std::uint64_t hash = 0xcbf29ce484222325ULL;
+    for (const unsigned char c : bytes) {
+        hash ^= c;
+        hash *= 0x100000001b3ULL;
+    }
+    return hash;
+}
+
+/**
+ * One run's exports, pinned: FNV-1a digests of the trace JSONL and the
+ * metrics text, plus the post-run RNG fingerprint. The pins were
+ * recorded while the scalar loop, every batch size and --direct still
+ * agreed, so they hold whichever serve loop remains to those bytes.
+ */
+struct ExportPin {
+    std::uint64_t trace;
+    std::uint64_t metrics;
+    std::uint64_t rngFingerprint;
+};
+
+void
+expectMatchesPin(const RunArtifacts &run, const ExportPin &pin,
+                 const std::string &label)
+{
+    EXPECT_EQ(fnv1a(run.traceJsonl), pin.trace) << label;
+    EXPECT_EQ(fnv1a(run.metricsText), pin.metrics) << label;
+    EXPECT_EQ(run.stats.rngFingerprint, pin.rngFingerprint) << label;
+}
+
 /** Devices are move-only (unique_ptr processors), so modes get a
  * fresh one from a factory instead of sharing a copied instance. */
 using DeviceFactory = platform::Device (*)();
@@ -140,7 +173,24 @@ TEST(BatchEngineParity, AllModesBitIdenticalAcrossDevicesAndFaults)
     };
     const std::vector<const char *> faultPresets = {
         "none", "blackout", "flaky-wifi", "cloud-brownout"};
+    // Device-major, fault presets in the order above.
+    const std::vector<ExportPin> pins = {
+        {0x1bb1ab953a0153c9ULL, 0xc4783b6ac9ff07ddULL, 0xf6cd4f9e82282cf9ULL},
+        {0x1bb1ab953a0153c9ULL, 0xc4783b6ac9ff07ddULL, 0xf6cd4f9e82282cf9ULL},
+        {0x635209438a7fdde4ULL, 0xc816ecb1b9cba7dfULL, 0xf6cd4f9e82282cf9ULL},
+        {0x1bb1ab953a0153c9ULL, 0xc4783b6ac9ff07ddULL, 0xf6cd4f9e82282cf9ULL},
+        {0xf52358d2a84203a5ULL, 0xda2e21b60a09a56dULL, 0xd71d413ef6faf012ULL},
+        {0xf52358d2a84203a5ULL, 0xda2e21b60a09a56dULL, 0xd71d413ef6faf012ULL},
+        {0xfab5492f918d0de9ULL, 0xfde658c4172e4cedULL, 0x71ec16d7242b76e8ULL},
+        {0xf52358d2a84203a5ULL, 0xda2e21b60a09a56dULL, 0xd71d413ef6faf012ULL},
+        {0x09b3fed5c85369a2ULL, 0x2ac6793ada470e6cULL, 0x63b6063313a9a329ULL},
+        {0x09b3fed5c85369a2ULL, 0x2ac6793ada470e6cULL, 0x63b6063313a9a329ULL},
+        {0xd7e6b6622d668e00ULL, 0xafc5a22017329f6cULL, 0x63b6063313a9a329ULL},
+        {0x09b3fed5c85369a2ULL, 0x2ac6793ada470e6cULL, 0x63b6063313a9a329ULL},
+    };
+    ASSERT_EQ(pins.size(), devices.size() * faultPresets.size());
 
+    std::size_t cell = 0;
     for (const DeviceCase &device : devices) {
         for (const char *preset : faultPresets) {
             const ServeConfig config = parityConfig(preset, 2.0, 150);
@@ -148,6 +198,7 @@ TEST(BatchEngineParity, AllModesBitIdenticalAcrossDevicesAndFaults)
                 runWith(device.factory, config, 0, true);
             const std::string label =
                 std::string(device.name) + "/" + preset;
+            expectMatchesPin(scalar, pins[cell++], label);
             expectArtifactsEqual(
                 scalar, runWith(device.factory, config, 1, true),
                 label + "/batch1");
@@ -176,18 +227,6 @@ overloadConfig()
     config.admission.degradeDepth = 1;
     config.policyName = "cloud";
     return config;
-}
-
-/** FNV-1a 64: a stable digest for pinning exported bytes. */
-std::uint64_t
-fnv1a(const std::string &bytes)
-{
-    std::uint64_t hash = 0xcbf29ce484222325ULL;
-    for (const unsigned char c : bytes) {
-        hash ^= c;
-        hash *= 0x100000001b3ULL;
-    }
-    return hash;
 }
 
 /**
@@ -246,6 +285,10 @@ TEST(BatchEngineParity, FixedPolicyModesMatch)
     config.trainRunsPerCombo = 0;
     const RunArtifacts scalar =
         runWith(&platform::makeMi8Pro, config, 0, true);
+    expectMatchesPin(scalar,
+                     {0x6226632b34f22e3dULL, 0x79314d78e31bfdbeULL,
+                      0x784663441c31f1f6ULL},
+                     "cloud-policy");
     expectArtifactsEqual(
         scalar, runWith(&platform::makeMi8Pro, config, 64, true),
         "cloud-policy/batch64");
@@ -282,6 +325,7 @@ TEST(BatchEngineParity, CheckpointBytesMatchAcrossModes)
     scalarBytes << scalarIn.rdbuf();
     batchedBytes << batchedIn.rdbuf();
     EXPECT_EQ(scalarBytes.str(), batchedBytes.str());
+    EXPECT_EQ(fnv1a(scalarBytes.str()), 0x1f1effb670e03350ULL);
     std::remove(scalarPath.c_str());
     std::remove(batchedPath.c_str());
 }
