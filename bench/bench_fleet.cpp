@@ -118,10 +118,10 @@ runFleetBench(int devices, double contention, std::int64_t requests,
     const double start = now();
     const serve::FleetStats stats = serve::runFleet(sim, fleet, {});
     m.seconds = now() - start;
-    m.arrivals = stats.totalArrivals();
-    m.served = stats.totalServed();
-    m.qosViolations = stats.totalQosViolations();
-    m.energyJ = stats.totalEnergyJ();
+    m.arrivals = stats.aggregate.arrivals;
+    m.served = stats.aggregate.served;
+    m.qosViolations = stats.aggregate.qosViolations;
+    m.energyJ = stats.aggregate.energyJ;
     m.checksum = stats.checksum;
     return m;
 }
@@ -202,8 +202,8 @@ runMemoryGate(int devices, double budgetBytes, std::uint64_t seed)
     const double start = now();
     const serve::FleetStats stats = serve::runFleet(sim, fleet, {});
     gate.seconds = now() - start;
-    gate.arrivals = stats.totalArrivals();
-    gate.served = stats.totalServed();
+    gate.arrivals = stats.aggregate.arrivals;
+    gate.served = stats.aggregate.served;
     gate.peakRssBytes = stats.peakRssBytes;
     gate.bytesPerDevice = stats.bytesPerDevice;
     gate.completed = gate.arrivals
@@ -277,10 +277,10 @@ main(int argc, char **argv)
             const serve::FleetStats stats =
                 serve::runFleet(sim, config, {});
             m.seconds = now() - start;
-            m.arrivals = stats.totalArrivals();
-            m.served = stats.totalServed();
-            m.qosViolations = stats.totalQosViolations();
-            m.energyJ = stats.totalEnergyJ();
+            m.arrivals = stats.aggregate.arrivals;
+            m.served = stats.aggregate.served;
+            m.qosViolations = stats.aggregate.qosViolations;
+            m.energyJ = stats.aggregate.energyJ;
             m.checksum = stats.checksum;
             return m;
         };

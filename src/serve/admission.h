@@ -84,9 +84,7 @@ class AdmissionQueue {
 
     /**
      * Peek the @p i-th queued request from the head without removing it
-     * (i < depth()). The batch engine gathers the ready slice through
-     * this accessor; offers only ever push_back, so the peeked prefix
-     * stays valid while a gathered batch is being committed.
+     * (i < depth()).
      */
     const QueuedRequest &at(std::size_t i) const;
 

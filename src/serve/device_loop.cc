@@ -16,7 +16,6 @@
 #include "harness/experiment.h"
 #include "serve/compact_metrics.h"
 #include "serve/device_state.h"
-#include "sim/batch_engine.h"
 #include "util/logging.h"
 
 namespace autoscale::serve {
@@ -120,17 +119,17 @@ DeviceState::DeviceState(const sim::InferenceSimulator &sim_in,
         ownedBlock = std::make_unique<CompactServeMetrics>();
         block = ownedBlock.get();
     }
-    init(config().seed, warmStart, nullptr);
+    init(config().seed, warmStart);
 }
 
 DeviceState::DeviceState(const DevicePlan &plan_in,
                          const obs::ObsContext &obs_in, int deviceId_in,
                          std::uint64_t seed,
                          const core::AutoScaleScheduler *warmStart,
-                         sim::BatchDecisionEngine *sharedEngine)
+                         sim::BatchDecisionEngine *)
     : plan(&plan_in), obs(obs_in), deviceId(deviceId_in)
 {
-    init(seed, warmStart, sharedEngine);
+    init(seed, warmStart);
 }
 
 DeviceState::~DeviceState() = default;
@@ -145,8 +144,7 @@ DeviceState &DeviceState::operator=(DeviceState &&) = default;
  */
 void
 DeviceState::init(std::uint64_t seed,
-                  const core::AutoScaleScheduler *warmStart,
-                  sim::BatchDecisionEngine *sharedEngine)
+                  const core::AutoScaleScheduler *warmStart)
 {
     stats.breakerEnabled = config().breakerEnabled;
 
@@ -259,19 +257,6 @@ DeviceState::init(std::uint64_t seed,
     probeRetry = config().retry;
     probeRetry.maxRetries = 0;
 
-    // Batched (SoA gather/commit) vs scalar reference dispatch. Both
-    // paths produce byte-identical output (DESIGN.md §14).
-    batched = config().batchSize >= 1;
-    if (batched) {
-        if (sharedEngine != nullptr) {
-            engine = sharedEngine;
-        } else {
-            ownedEngine = std::make_unique<sim::BatchDecisionEngine>(
-                sim(), static_cast<std::size_t>(config().batchSize));
-            engine = ownedEngine.get();
-        }
-    }
-
     clockMs = 0.0;
     ewmaServiceMs = plan->nominalServiceMs;
     pendingArrivalMs = arrivals->nextArrivalMs();
@@ -368,14 +353,10 @@ DeviceState::admitUpTo(double nowMs)
     }
 }
 
-// Commit one popped request — the shared body of the scalar and
-// batched loops. @p batchEngine is non-null on the batched path, where
-// it supplies the memoized best-local-target (identical values,
-// computed once per request instead of up to three times).
+// Commit one popped request: decide, execute, meter and trace it.
 void
 DeviceState::commitRequest(const QueuedRequest &queued, int degradeLevel,
-                           int depthAtDequeue,
-                           sim::BatchDecisionEngine *batchEngine)
+                           int depthAtDequeue)
 {
     const Workload &workload = plan->workloads[
         static_cast<std::size_t>(queued.networkIndex)];
@@ -393,14 +374,17 @@ DeviceState::commitRequest(const QueuedRequest &queued, int degradeLevel,
         policy->decide(workload.request, env, decisionRng);
 
     // Best local target for this (request, env) pair, wanted by up
-    // to three sites below with identical arguments. The function
-    // is pure, so the engine memo is bit-identical to recomputing.
-    auto bestLocal = [&]() {
-        return batchEngine != nullptr
-            ? batchEngine->bestLocalTarget(*workload.network, env,
-                                           config().accuracyTargetPct)
-            : sim().bestLocalTarget(*workload.network, env,
-                                    config().accuracyTargetPct);
+    // to three sites below (degrade, breaker short-circuit, infeasible
+    // fallback) with identical arguments. The first site computes it
+    // and the others reuse it: the function is pure, so the memo is
+    // bit-identical to recomputing.
+    std::optional<sim::ExecutionTarget> bestLocalMemo;
+    auto bestLocal = [&]() -> const sim::ExecutionTarget & {
+        if (!bestLocalMemo) {
+            bestLocalMemo = sim().bestLocalTarget(
+                *workload.network, env, config().accuracyTargetPct);
+        }
+        return *bestLocalMemo;
     };
 
     // Graceful degradation: under queue pressure, force expensive
@@ -592,13 +576,13 @@ DeviceState::commitRequest(const QueuedRequest &queued, int degradeLevel,
     }
 }
 
-// Scalar reference loop: one admit/pop/commit per iteration. With
-// untilMs == +inf this is the original runServe loop verbatim; a
-// finite barrier pauses before processing anything at or beyond it.
+// One admit/pop/commit per iteration. With untilMs == +inf this runs
+// the device to completion; a finite barrier pauses before processing
+// anything at or beyond it.
 void
-DeviceState::scalarLoop(double untilMs)
+DeviceState::advance(double untilMs)
 {
-    while (clockMs < untilMs) {
+    while (!loopDone && clockMs < untilMs) {
         admitUpTo(clockMs);
         if (queue->empty()) {
             if (arrivalsDone) {
@@ -616,76 +600,7 @@ DeviceState::scalarLoop(double untilMs)
         const int degradeLevel = queue->degradeLevel();
         const QueuedRequest queued = queue->pop();
         const int depthAtDequeue = static_cast<int>(queue->depth()) + 1;
-        commitRequest(queued, degradeLevel, depthAtDequeue, nullptr);
-    }
-}
-
-// Batched SoA path: gather the ready queue prefix into the engine's
-// slots (a peek — admission only appends, so the prefix stays valid),
-// then commit the slots sequentially, replaying the scalar loop's
-// exact operation order (admissions between commits, degrade level and
-// depth read at pop time). An epoch barrier may interrupt mid-batch:
-// un-popped slots simply stay queued and are re-gathered next epoch,
-// so the commit sequence is identical for every barrier placement.
-void
-DeviceState::batchedLoop(double untilMs)
-{
-    while (clockMs < untilMs) {
-        admitUpTo(clockMs);
-        if (queue->empty()) {
-            if (arrivalsDone) {
-                loopDone = true;
-                break;
-            }
-            if (pendingArrivalMs >= untilMs) {
-                break;
-            }
-            // Idle: jump to the next arrival.
-            clockMs = std::max(clockMs, pendingArrivalMs);
-            continue;
-        }
-        engine->beginTick(clockMs);
-        const std::size_t ready = std::min(
-            queue->depth(),
-            static_cast<std::size_t>(config().batchSize));
-        for (std::size_t i = 0; i < ready; ++i) {
-            const QueuedRequest &peeked = queue->at(i);
-            const Workload &workload = plan->workloads[
-                static_cast<std::size_t>(peeked.networkIndex)];
-            engine->addSlot(peeked.id, peeked.arrivalMs, peeked.deadlineMs,
-                            peeked.networkIndex, workload.network,
-                            workload.minServiceMs);
-        }
-        for (std::size_t slot = 0; slot < engine->size(); ++slot) {
-            if (clockMs >= untilMs) {
-                break;
-            }
-            if (slot > 0) {
-                // What the scalar loop's next iteration would have
-                // admitted before popping this request.
-                admitUpTo(clockMs);
-            }
-            engine->beginRequest();
-            const int degradeLevel = queue->degradeLevel();
-            const QueuedRequest queued = queue->pop();
-            AS_CHECK(queued.id == engine->id(slot));
-            const int depthAtDequeue =
-                static_cast<int>(queue->depth()) + 1;
-            commitRequest(queued, degradeLevel, depthAtDequeue, engine);
-        }
-    }
-}
-
-void
-DeviceState::advance(double untilMs)
-{
-    if (loopDone) {
-        return;
-    }
-    if (!batched) {
-        scalarLoop(untilMs);
-    } else {
-        batchedLoop(untilMs);
+        commitRequest(queued, degradeLevel, depthAtDequeue);
     }
 }
 

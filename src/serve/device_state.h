@@ -133,8 +133,8 @@ struct DeviceState {
     /**
      * Standalone device: builds and owns a private plan from
      * @p config (workload mix, floors), seeds from config.seed, and
-     * owns its engine and (when metering) its metrics block, which
-     * finish() flushes into obs.metrics.
+     * owns (when metering) its metrics block, which finish() flushes
+     * into obs.metrics.
      */
     DeviceState(const sim::InferenceSimulator &sim,
                 const ServeConfig &config, const obs::ObsContext &obs,
@@ -143,17 +143,16 @@ struct DeviceState {
     /**
      * Fleet device over a shared immutable @p plan. @p seed replaces
      * plan.config.seed (the fleet derives one seed per device);
-     * everything else reads through the plan. @p sharedEngine, when
-     * non-null, is a shard-shared batch decision engine (its gather
-     * state is per-tick, and devices within a shard run sequentially,
-     * so sharing is output-identical); null makes the device own one.
-     * The caller points `block` at a pooled metrics block and flushes
-     * it; obs.metrics is not used.
+     * everything else reads through the plan. The caller points
+     * `block` at a pooled metrics block and flushes it; obs.metrics is
+     * not used. The unnamed last parameter is inert: it keeps the
+     * benchmark's fleet replay building; delete it once ROADMAP item 2
+     * has removed that replay.
      */
     DeviceState(const DevicePlan &plan, const obs::ObsContext &obs,
                 int deviceId, std::uint64_t seed,
                 const core::AutoScaleScheduler *warmStart,
-                sim::BatchDecisionEngine *sharedEngine = nullptr);
+                sim::BatchDecisionEngine * = nullptr);
 
     ~DeviceState();
     DeviceState(DeviceState &&);
@@ -171,14 +170,11 @@ struct DeviceState {
     void advance(double untilMs);
     std::int64_t discardQueue(std::int64_t atEpoch);
     std::int64_t advanceOffline(double untilMs, std::int64_t atEpoch);
-    void scalarLoop(double untilMs);
-    void batchedLoop(double untilMs);
     void admitUpTo(double nowMs);
     void recordShed(const Workload &workload, ServeOutcomeId outcome,
                     int depth);
     void commitRequest(const QueuedRequest &queued, int degradeLevel,
-                       int depthAtDequeue,
-                       sim::BatchDecisionEngine *engine);
+                       int depthAtDequeue);
     void checkpointNow();
     ServeStats finish();
 
@@ -210,7 +206,6 @@ struct DeviceState {
     std::optional<CircuitBreaker> p2pBreaker;
     fault::RetryPolicy probeRetry;
 
-    bool batched = false;
     /**
      * This device's metrics recorder; null when metering is off. A
      * standalone device owns it (ownedBlock) and flushes it at the end
@@ -219,14 +214,6 @@ struct DeviceState {
      */
     CompactServeMetrics *block = nullptr;
     std::unique_ptr<CompactServeMetrics> ownedBlock;
-
-    /**
-     * Batch decision engine: owned on the standalone path; fleets
-     * share one per shard (its state is per-tick, so sharing is
-     * output-identical).
-     */
-    sim::BatchDecisionEngine *engine = nullptr;
-    std::unique_ptr<sim::BatchDecisionEngine> ownedEngine;
 
     double clockMs = 0.0;
     double ewmaServiceMs = 0.0;
@@ -248,8 +235,7 @@ struct DeviceState {
     /** Shared construction tail: RNG fan-out, policy, provenance,
      * loop state — the original runServe statement order, verbatim. */
     void init(std::uint64_t seed,
-              const core::AutoScaleScheduler *warmStart,
-              sim::BatchDecisionEngine *sharedEngine);
+              const core::AutoScaleScheduler *warmStart);
 };
 
 } // namespace autoscale::serve

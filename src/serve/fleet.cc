@@ -19,7 +19,6 @@
 #include "serve/device_loop.h"
 #include "serve/device_state.h"
 #include "serve/fleet_checkpoint.h"
-#include "sim/batch_engine.h"
 #include "util/logging.h"
 #include "util/mem.h"
 #include "util/stats.h"
@@ -68,87 +67,6 @@ qTableModeName(QTableMode mode)
         return "federated";
     }
     panic("unreachable q-table mode");
-}
-
-std::int64_t
-FleetStats::totalArrivals() const
-{
-    std::int64_t total = aggregate.arrivals;
-    for (const ServeStats &device : devices) {
-        total += device.arrivals;
-    }
-    return total;
-}
-
-std::int64_t
-FleetStats::totalServed() const
-{
-    std::int64_t total = aggregate.served;
-    for (const ServeStats &device : devices) {
-        total += device.served;
-    }
-    return total;
-}
-
-std::int64_t
-FleetStats::totalShed() const
-{
-    std::int64_t total = aggregate.shed;
-    for (const ServeStats &device : devices) {
-        total += device.shedOverflow + device.shedDeadline
-            + device.shedStale;
-    }
-    return total;
-}
-
-std::int64_t
-FleetStats::totalShedChurn() const
-{
-    std::int64_t total = aggregate.shedChurn;
-    for (const ServeStats &device : devices) {
-        total += device.shedChurn;
-    }
-    return total;
-}
-
-std::int64_t
-FleetStats::totalDegraded() const
-{
-    std::int64_t total = aggregate.degraded;
-    for (const ServeStats &device : devices) {
-        total += device.degraded;
-    }
-    return total;
-}
-
-std::int64_t
-FleetStats::totalQosViolations() const
-{
-    std::int64_t total = aggregate.qosViolations;
-    for (const ServeStats &device : devices) {
-        total += device.qosViolations;
-    }
-    return total;
-}
-
-double
-FleetStats::totalEnergyJ() const
-{
-    double total = aggregate.energyJ;
-    for (const ServeStats &device : devices) {
-        total += device.energyJ;
-    }
-    return total;
-}
-
-double
-FleetStats::totalWastedEnergyJ() const
-{
-    double total = aggregate.wastedEnergyJ;
-    for (const ServeStats &device : devices) {
-        total += device.wastedEnergyJ;
-    }
-    return total;
 }
 
 std::pair<double, double>
@@ -547,8 +465,8 @@ runFleet(const sim::InferenceSimulator &sim, const FleetConfig &config,
                           + "' was written by a run with a different"
                             " configuration; deterministic replay"
                             " requires the exact config of the"
-                            " interrupted run (only --shards/--jobs/"
-                            "--batch may differ)");
+                            " interrupted run (only --shards/--jobs"
+                            " may differ)");
                 }
                 stats.resumed = true;
                 stats.resumeSource = loaded.source;
@@ -562,25 +480,14 @@ runFleet(const sim::InferenceSimulator &sim, const FleetConfig &config,
     }
 
     // --- Devices (DESIGN.md §18): one immutable plan shared by every
-    // device, one contiguous record array per shard (reserved up front
-    // — the DeviceLoop views hold stable pointers into it), and one
-    // batch decision engine per shard (its gather state is per-tick and
-    // devices within a shard run sequentially, so sharing is
-    // output-identical). Device 0 keeps the master seed and runs the
-    // Q-table provenance (checkpoint > --qtable > pre-training) on this
-    // thread; then every shard builds its peers on the pool, each peer
-    // i warm-starting from device 0's table with seed
-    // replicateSeed(master, i), a pure function of (plan, i, device 0).
-    // ---
+    // device and one contiguous record array per shard (reserved up
+    // front — the DeviceLoop views hold stable pointers into it).
+    // Device 0 keeps the master seed and runs the Q-table provenance
+    // (checkpoint > --qtable > pre-training) on this thread; then every
+    // shard builds its peers on the pool, each peer i warm-starting
+    // from device 0's table with seed replicateSeed(master, i), a pure
+    // function of (plan, i, device 0). ---
     const DevicePlan plan = makeDevicePlan(sim, deviceConfig);
-    std::vector<std::unique_ptr<sim::BatchDecisionEngine>> shardEngines;
-    if (deviceConfig.batchSize >= 1) {
-        shardEngines.reserve(shards);
-        for (std::size_t s = 0; s < shards; ++s) {
-            shardEngines.push_back(std::make_unique<sim::BatchDecisionEngine>(
-                sim, static_cast<std::size_t>(deviceConfig.batchSize)));
-        }
-    }
     std::vector<std::vector<DeviceState>> records(shards);
     const core::AutoScaleScheduler *warm = nullptr;
     auto buildDevice = [&](std::size_t shard, std::size_t i) {
@@ -592,8 +499,7 @@ runFleet(const sim::InferenceSimulator &sim, const FleetConfig &config,
             plan, deviceObs, static_cast<int>(i),
             i == 0 ? config.serve.seed
                    : harness::replicateSeed(config.serve.seed, i),
-            warm,
-            shardEngines.empty() ? nullptr : shardEngines[shard].get());
+            warm);
         if (obs.metering()) {
             record.block = &blocks[i];
         }
@@ -830,30 +736,24 @@ runFleet(const sim::InferenceSimulator &sim, const FleetConfig &config,
     }
 
     // --- Finalize on the pool, then fold in device-index order. Each
-    // shard finishes its devices; aggregate mode keeps only the words
-    // the ordered fold needs per device (DeviceTotals) and sums the
-    // integer counts per shard, so no per-device ServeStats survives.
-    // One serial pass then folds the checksum, the clock and the
-    // floating-point totals in device order, the same arithmetic in
-    // the same order as a serial finish. ---
+    // shard finishes its devices and sums their integer counts; unless
+    // per-device stats are kept, it keeps only the words the ordered
+    // fold needs per device (DeviceTotals). One serial pass then folds
+    // the checksum, the clock and the floating-point totals in device
+    // order, the same arithmetic in the same order as a serial
+    // finish. ---
     std::vector<DeviceTotals> totals;
-    std::vector<FleetAggregate> shardCounts;
+    std::vector<FleetAggregate> shardCounts(shards);
     if (config.aggregateStats) {
         totals.resize(n);
-        shardCounts.resize(shards);
     } else {
         stats.devices.resize(n);
     }
     forEachShard([&](std::size_t shard) {
         const auto [begin, end] = shardRange(shard);
+        FleetAggregate &counts = shardCounts[shard];
         for (std::size_t d = begin; d < end; ++d) {
             ServeStats device = devices[d].finish();
-            if (!config.aggregateStats) {
-                stats.devices[d] = std::move(device);
-                continue;
-            }
-            totals[d] = totalsOf(device);
-            FleetAggregate &counts = shardCounts[shard];
             counts.arrivals += device.arrivals;
             counts.served += device.served;
             counts.shed += device.shedOverflow + device.shedDeadline
@@ -861,6 +761,11 @@ runFleet(const sim::InferenceSimulator &sim, const FleetConfig &config,
             counts.shedChurn += device.shedChurn;
             counts.degraded += device.degraded;
             counts.qosViolations += device.qosViolations;
+            if (config.aggregateStats) {
+                totals[d] = totalsOf(device);
+            } else {
+                stats.devices[d] = std::move(device);
+            }
         }
     });
     for (const FleetAggregate &counts : shardCounts) {
@@ -886,10 +791,8 @@ runFleet(const sim::InferenceSimulator &sim, const FleetConfig &config,
             checksum, std::bit_cast<std::uint64_t>(device.energyJ));
         checksum = mixChecksum(
             checksum, std::bit_cast<std::uint64_t>(device.endClockMs));
-        if (config.aggregateStats) {
-            stats.aggregate.energyJ += device.energyJ;
-            stats.aggregate.wastedEnergyJ += device.wastedEnergyJ;
-        }
+        stats.aggregate.energyJ += device.energyJ;
+        stats.aggregate.wastedEnergyJ += device.wastedEnergyJ;
     }
     stats.checksum = checksum;
     sampleRss();
@@ -925,7 +828,7 @@ runFleet(const sim::InferenceSimulator &sim, const FleetConfig &config,
         obs.metrics->inc("serve.fleet.churn.rejoins", stats.churnRejoins);
         obs.metrics->inc("serve.fleet.churn.offline_device_epochs",
                          stats.offlineDeviceEpochs);
-        obs.metrics->inc("serve.fleet.churn.shed", stats.totalShedChurn());
+        obs.metrics->inc("serve.fleet.churn.shed", stats.aggregate.shedChurn);
     }
     if (obs.metering() && config.infra.outagePeriodMs > 0.0
         && config.infra.outageDurationMs > 0.0) {
@@ -974,28 +877,28 @@ printFleetReport(std::ostream &os, const FleetConfig &config,
         table.addRow({"epochs", std::to_string(stats.epochs)});
         table.addRow({"epoch (ms)", Table::num(config.epochMs)});
         const std::int64_t arrivals =
-            std::max<std::int64_t>(1, stats.totalArrivals());
-        table.addRow({"arrivals", std::to_string(stats.totalArrivals())});
+            std::max<std::int64_t>(1, stats.aggregate.arrivals);
+        table.addRow({"arrivals", std::to_string(stats.aggregate.arrivals)});
         table.addRow(
             {"served",
-             std::to_string(stats.totalServed()) + " ("
-                 + Table::pct(static_cast<double>(stats.totalServed())
+             std::to_string(stats.aggregate.served) + " ("
+                 + Table::pct(static_cast<double>(stats.aggregate.served)
                               / static_cast<double>(arrivals))
                  + ")"});
-        table.addRow({"shed", std::to_string(stats.totalShed())});
+        table.addRow({"shed", std::to_string(stats.aggregate.shed)});
         if (config.churn.enabled()) {
             table.addRow({"shed (churn)",
-                          std::to_string(stats.totalShedChurn())});
+                          std::to_string(stats.aggregate.shedChurn)});
         }
-        table.addRow({"degraded", std::to_string(stats.totalDegraded())});
+        table.addRow({"degraded", std::to_string(stats.aggregate.degraded)});
         table.addRow({"QoS violations (served)",
-                      std::to_string(stats.totalQosViolations())});
+                      std::to_string(stats.aggregate.qosViolations)});
         const auto [p50, p99] = stats.latencyPercentilesMs(50.0, 99.0);
         table.addRow({"p50 latency (ms)", Table::num(p50)});
         table.addRow({"p99 latency (ms)", Table::num(p99)});
-        table.addRow({"energy (J)", Table::num(stats.totalEnergyJ(), 3)});
+        table.addRow({"energy (J)", Table::num(stats.aggregate.energyJ, 3)});
         table.addRow({"wasted energy (J)",
-                      Table::num(stats.totalWastedEnergyJ(), 3)});
+                      Table::num(stats.aggregate.wastedEnergyJ, 3)});
         table.addRow({"virtual time (s)",
                       Table::num(stats.endClockMs / 1e3, 2)});
         if (stats.peakRssBytes > 0) {

@@ -106,12 +106,11 @@ struct FleetConfig {
     bool collectQTables = false;
 
     /**
-     * Drop the per-device ServeStats vector and keep only fleet
-     * aggregates (FleetStats::aggregate). Million-device runs need
-     * this: a million ServeStats (latency vectors, category maps) cost
-     * more than the devices themselves. Totals and the checksum are
-     * unchanged; per-device reporting and latency percentiles are
-     * unavailable (they read as 0 / empty).
+     * Drop the per-device ServeStats vector (FleetStats::devices).
+     * Million-device runs need this: a million ServeStats (latency
+     * vectors, category maps) cost more than the devices themselves.
+     * Totals and the checksum are unchanged; per-device reporting and
+     * latency percentiles are unavailable (they read as 0 / empty).
      */
     bool aggregateStats = false;
     /**
@@ -124,14 +123,16 @@ struct FleetConfig {
 };
 
 /**
- * Fold of the per-device stats a million-device run cannot afford to
- * keep (FleetConfig::aggregateStats). Zero when per-device stats are
- * kept; FleetStats::totalX() adds both, so exactly one contributes.
+ * Fleet totals over every device, folded by runFleet whether or not
+ * per-device stats are kept (FleetConfig::aggregateStats). The energy
+ * sums run in device order from +0.0.
  */
 struct FleetAggregate {
     std::int64_t arrivals = 0;
     std::int64_t served = 0;
+    /** Shed at admission or dequeue (overflow, deadline, stale). */
     std::int64_t shed = 0;
+    /** Requests lost to churn (crash/leave discards + offline loss). */
     std::int64_t shedChurn = 0;
     std::int64_t degraded = 0;
     std::int64_t qosViolations = 0;
@@ -143,10 +144,10 @@ struct FleetAggregate {
 struct FleetStats {
     /**
      * Per-device serving stats, in device-index order. Empty when
-     * FleetConfig::aggregateStats folded them into `aggregate`.
+     * FleetConfig::aggregateStats is set.
      */
     std::vector<ServeStats> devices;
-    /** Aggregate-only totals (see FleetConfig::aggregateStats). */
+    /** Fleet totals over every device. */
     FleetAggregate aggregate;
     /** Virtual-time barriers executed. */
     std::int64_t epochs = 0;
@@ -219,15 +220,6 @@ struct FleetStats {
      */
     std::string qtableDump;
 
-    std::int64_t totalArrivals() const;
-    std::int64_t totalServed() const;
-    std::int64_t totalShed() const;
-    /** Requests lost to churn (crash/leave discards + offline loss). */
-    std::int64_t totalShedChurn() const;
-    std::int64_t totalDegraded() const;
-    std::int64_t totalQosViolations() const;
-    double totalEnergyJ() const;
-    double totalWastedEnergyJ() const;
     /** Nearest-rank percentiles @p lower <= @p upper over all devices'
      * served latencies, from one pooled buffer. */
     std::pair<double, double> latencyPercentilesMs(double lower,

@@ -112,10 +112,9 @@ std::uint64_t
 fleetConfigDigest(const FleetConfig &config)
 {
     // Every field the replayed trajectory depends on. Pure parallelism
-    // knobs (shards, jobs) and output-collection knobs (collectQTables,
-    // batchSize — the batched path is byte-identical by contract) are
-    // deliberately excluded: resuming under a different shard count is
-    // the same trajectory.
+    // knobs (shards, jobs) and output-collection knobs (collectQTables)
+    // are deliberately excluded: resuming under a different shard count
+    // is the same trajectory.
     std::uint64_t hash = mixString(0, "fleet-config-v1");
     hash = mix(hash, static_cast<std::uint64_t>(config.devices));
     hash = mixDouble(hash, config.epochMs);

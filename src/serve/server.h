@@ -86,12 +86,9 @@ struct ServeConfig {
     std::uint64_t seed = 1;
 
     /**
-     * Decision-path batch size: >= 1 routes the loop through the
-     * sim::BatchDecisionEngine SoA gather/commit path (gathering up to
-     * this many ready requests per tick), <= 0 runs the scalar
-     * reference loop. Every value — including the scalar loop —
-     * produces byte-identical output (DESIGN.md §14); the batched path
-     * is simply faster.
+     * Inert: nothing in the library reads it. It keeps the benchmark's
+     * fleet replay building; delete it once ROADMAP item 2 has removed
+     * that replay.
      */
     int batchSize = 64;
 };
@@ -151,7 +148,7 @@ struct ServeStats {
     /**
      * Combined hash of one post-run draw from each serving RNG stream
      * (environment, decision, execution, workload-mix). Two runs that
-     * consumed their streams identically — the batched/scalar/--direct
+     * consumed their streams identically — the cost-cache/--direct
      * parity contract — end with identical fingerprints; any hoisted,
      * dropped, or reordered draw changes it.
      */

@@ -353,8 +353,8 @@ TEST(Fleet, EdgeSaturationPushesMarginalDevicesLocal)
     // Queue pressure under saturation shifts the admission share: more
     // requests get degraded onto the local device (or shed) than in
     // the uncontended fleet.
-    EXPECT_GT(contended.totalDegraded() + contended.totalShed(),
-              uncontended.totalDegraded() + uncontended.totalShed());
+    EXPECT_GT(contended.aggregate.degraded + contended.aggregate.shed,
+              uncontended.aggregate.degraded + uncontended.aggregate.shed);
     // And the requests that do reach the edge pay the queue wait: mean
     // served latency inflates under saturation.
     double tightServiceMs = 0.0;
@@ -495,7 +495,7 @@ TEST(Fleet, ChurnIsShardInvariantAndCountsLoss)
                                traceText.str(), metricsText.str(),
                                stats.epochs, stats.churnCrashes,
                                stats.churnLeaves, stats.churnRejoins,
-                               stats.totalShedChurn());
+                               stats.aggregate.shedChurn);
     };
 
     const auto base = run(1, 1);
@@ -512,15 +512,15 @@ TEST(Fleet, ChurnIsShardInvariantAndCountsLoss)
     }();
     EXPECT_GT(probeStats.churnCrashes + probeStats.churnLeaves, 0);
     EXPECT_GT(probeStats.offlineDeviceEpochs, 0);
-    EXPECT_GT(probeStats.totalShedChurn(), 0);
+    EXPECT_GT(probeStats.aggregate.shedChurn, 0);
     EXPECT_GT(probeStats.churnJoins, 0);
     EXPECT_GT(probeStats.outageEpochs, 0);
     // Conservation: every arrival is accounted for — served, shed by
-    // QoS machinery, or lost to churn. (totalShed() deliberately
+    // QoS machinery, or lost to churn. (aggregate.shed deliberately
     // excludes churn so the classic "shed" row keeps its meaning.)
-    EXPECT_EQ(probeStats.totalArrivals(),
-              probeStats.totalServed() + probeStats.totalShed()
-                  + probeStats.totalShedChurn());
+    EXPECT_EQ(probeStats.aggregate.arrivals,
+              probeStats.aggregate.served + probeStats.aggregate.shed
+                  + probeStats.aggregate.shedChurn);
 }
 
 TEST(Fleet, HaltThenResumeMatchesUninterruptedByteForByte)
@@ -1010,7 +1010,7 @@ TEST(FleetRecords, ExportsMatchPinnedDigests)
             EXPECT_GE(stats.epochs, 14);
             if (cell.churn) {
                 EXPECT_GT(stats.churnRejoins, 0);
-                EXPECT_GT(stats.totalShedChurn(), 0);
+                EXPECT_GT(stats.aggregate.shedChurn, 0);
             }
         }
     }
@@ -1064,7 +1064,7 @@ TEST(FleetRecords, SharedLearnerFleetsMatchPinnedDigests)
         EXPECT_EQ(runAndDigest(config, &stats), churnedPinned);
         EXPECT_GT(stats.churnRejoins, 0);
         EXPECT_GT(stats.churnJoins, 0);
-        EXPECT_GT(stats.totalShedChurn(), 0);
+        EXPECT_GT(stats.aggregate.shedChurn, 0);
     }
 }
 
@@ -1130,10 +1130,10 @@ TEST(FleetRecords, FixedPolicyFleetsMatchPinnedDigests)
                 FleetStats stats;
                 EXPECT_EQ(runAndDigest(config, &stats), cell.pinned);
                 EXPECT_GE(stats.epochs, 10);
-                EXPECT_GT(stats.totalServed(), 0);
+                EXPECT_GT(stats.aggregate.served, 0);
                 if (cell.churn) {
                     EXPECT_GT(stats.churnRejoins, 0);
-                    EXPECT_GT(stats.totalShedChurn(), 0);
+                    EXPECT_GT(stats.aggregate.shedChurn, 0);
                 }
             }
         }
@@ -1217,15 +1217,33 @@ TEST(FleetRecords, AggregateStatsFoldPreservesTotalsAndChecksum)
                   static_cast<std::size_t>(config->devices));
         EXPECT_TRUE(agg.devices.empty());
         EXPECT_EQ(agg.checksum, full.checksum);
-        EXPECT_EQ(agg.totalArrivals(), full.totalArrivals());
-        EXPECT_EQ(agg.totalServed(), full.totalServed());
-        EXPECT_EQ(agg.totalShed(), full.totalShed());
-        EXPECT_EQ(agg.totalShedChurn(), full.totalShedChurn());
-        EXPECT_EQ(agg.totalDegraded(), full.totalDegraded());
-        EXPECT_EQ(agg.totalQosViolations(), full.totalQosViolations());
-        EXPECT_EQ(agg.totalEnergyJ(), full.totalEnergyJ());
-        EXPECT_EQ(agg.totalWastedEnergyJ(), full.totalWastedEnergyJ());
         EXPECT_EQ(agg.endClockMs, full.endClockMs);
+
+        // Both modes fold the same totals: the sum of the kept
+        // per-device stats, energy summed in device order from +0.0.
+        FleetAggregate expected;
+        for (const ServeStats &device : full.devices) {
+            expected.arrivals += device.arrivals;
+            expected.served += device.served;
+            expected.shed += device.shedOverflow + device.shedDeadline
+                + device.shedStale;
+            expected.shedChurn += device.shedChurn;
+            expected.degraded += device.degraded;
+            expected.qosViolations += device.qosViolations;
+            expected.energyJ += device.energyJ;
+            expected.wastedEnergyJ += device.wastedEnergyJ;
+        }
+        for (const FleetStats *stats : {&full, &agg}) {
+            const FleetAggregate &folded = stats->aggregate;
+            EXPECT_EQ(folded.arrivals, expected.arrivals);
+            EXPECT_EQ(folded.served, expected.served);
+            EXPECT_EQ(folded.shed, expected.shed);
+            EXPECT_EQ(folded.shedChurn, expected.shedChurn);
+            EXPECT_EQ(folded.degraded, expected.degraded);
+            EXPECT_EQ(folded.qosViolations, expected.qosViolations);
+            EXPECT_EQ(folded.energyJ, expected.energyJ);
+            EXPECT_EQ(folded.wastedEnergyJ, expected.wastedEnergyJ);
+        }
     }
 }
 
@@ -1244,10 +1262,10 @@ TEST(FleetRecords, LearnerFleetStaysUnderMemoryBudget)
     fleet.reportMemory = true;
 
     const FleetStats stats = runFleet(testSim(), fleet, {});
-    EXPECT_EQ(stats.totalArrivals(), 200000);
-    EXPECT_EQ(stats.totalArrivals(),
-              stats.totalServed() + stats.totalShed());
-    EXPECT_GT(stats.totalServed(), 0);
+    EXPECT_EQ(stats.aggregate.arrivals, 200000);
+    EXPECT_EQ(stats.aggregate.arrivals,
+              stats.aggregate.served + stats.aggregate.shed);
+    EXPECT_GT(stats.aggregate.served, 0);
     ASSERT_GT(stats.peakRssBytes, 0u);
     ASSERT_GT(stats.bytesPerDevice, 0.0);
     if (!kThreadSanitizer) {
@@ -1268,7 +1286,7 @@ TEST(FleetRecords, MemoryFigureChargesOnlyItsOwnRun)
     big.serve.arrival.ratePerSec = 50.0;
     big.devices = 40000;
     const FleetStats bigStats = runFleet(testSim(), big, {});
-    EXPECT_EQ(bigStats.totalArrivals(), 80000);
+    EXPECT_EQ(bigStats.aggregate.arrivals, 80000);
 
     FleetConfig small = big;
     small.devices = 1000;
@@ -1276,7 +1294,7 @@ TEST(FleetRecords, MemoryFigureChargesOnlyItsOwnRun)
     obs::MetricsRegistry metrics;
     const FleetStats stats =
         runFleet(testSim(), small, obs::ObsContext{nullptr, &metrics});
-    EXPECT_EQ(stats.totalArrivals(), 2000);
+    EXPECT_EQ(stats.aggregate.arrivals, 2000);
     ASSERT_GT(stats.peakRssBytes, 0u);
     if (!kThreadSanitizer) {
         EXPECT_LT(stats.bytesPerDevice, 8192.0);
@@ -1303,9 +1321,9 @@ TEST(FleetRecords, HundredThousandDeviceSmokeStaysUnderMemoryBudget)
     fleet.reportMemory = true;
 
     const FleetStats stats = runFleet(testSim(), fleet, {});
-    EXPECT_EQ(stats.totalArrivals(), 200000);
-    EXPECT_EQ(stats.totalArrivals(),
-              stats.totalServed() + stats.totalShed());
+    EXPECT_EQ(stats.aggregate.arrivals, 200000);
+    EXPECT_EQ(stats.aggregate.arrivals,
+              stats.aggregate.served + stats.aggregate.shed);
     EXPECT_TRUE(stats.devices.empty());
     ASSERT_GT(stats.peakRssBytes, 0u);
     ASSERT_GT(stats.bytesPerDevice, 0.0);

@@ -251,8 +251,8 @@ TEST(AdmissionQueue, MaxDepthSeenTracksPushHighWater)
 
 TEST(AdmissionQueue, PeekedPrefixSurvivesAppends)
 {
-    // The batch engine's gather contract: at(i) peeks without removal,
-    // and later offers (push_back only) never move the peeked prefix.
+    // at(i) peeks without removal, and later offers (push_back only)
+    // never move the queued prefix.
     AdmissionQueue queue(AdmissionConfig{});
     for (int i = 0; i < 3; ++i) {
         const QueuedRequest request{i, static_cast<double>(i), 1e9, i};

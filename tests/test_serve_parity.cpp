@@ -1,11 +1,11 @@
 /**
  * @file
- * Parity suite for the batched serve hot path (DESIGN.md §14): the
- * BatchDecisionEngine SoA gather/commit loop must be observationally
- * invisible. Across devices × fault presets × load levels, every batch
- * size — and the --direct cost-table bypass underneath — must produce
- * bit-identical serving statistics, trace bytes, metrics dumps, and
- * post-run RNG fingerprints.
+ * Parity suite for the serve loop (DESIGN.md §14): across devices ×
+ * fault presets × load levels, the loop over the precomputed cost
+ * cache must reproduce the --direct cost-table bypass bit for bit —
+ * serving statistics, trace bytes, metrics dumps, checkpoint bytes and
+ * post-run RNG fingerprints — and match the pinned digests of its
+ * exports.
  */
 
 #include <gtest/gtest.h>
@@ -65,8 +65,10 @@ fnv1a(const std::string &bytes)
 /**
  * One run's exports, pinned: FNV-1a digests of the trace JSONL and the
  * metrics text, plus the post-run RNG fingerprint. The pins were
- * recorded while the scalar loop, every batch size and --direct still
- * agreed, so they hold whichever serve loop remains to those bytes.
+ * recorded at commit 328ed89, where the scalar reference loop, the
+ * batched gather/commit loop at every batch size and --direct all
+ * still agreed, so they hold the one serve loop that replaced both to
+ * the same bytes.
  */
 struct ExportPin {
     std::uint64_t trace;
@@ -88,14 +90,12 @@ expectMatchesPin(const RunArtifacts &run, const ExportPin &pin,
 using DeviceFactory = platform::Device (*)();
 
 RunArtifacts
-runWith(DeviceFactory makeDevice, const ServeConfig &base,
-        int batchSize, bool useCostCache, bool tracing = true)
+runWith(DeviceFactory makeDevice, const ServeConfig &config,
+        bool useCostCache, bool tracing = true)
 {
     sim::InferenceSimulator sim =
         sim::InferenceSimulator::makeDefault(makeDevice());
     sim.setUseCostCache(useCostCache);
-    ServeConfig config = base;
-    config.batchSize = batchSize;
 
     obs::MetricsRegistry metrics;
     obs::TraceRecorder trace;
@@ -155,12 +155,10 @@ expectArtifactsEqual(const RunArtifacts &a, const RunArtifacts &b,
 }
 
 /**
- * The full sweep: for each (device, fault preset, load) cell, the
- * scalar loop is the reference and --batch 1, --batch 64, the odd
- * --batch 7 (partial final batches), and --direct under --batch 64
- * must all reproduce it bit for bit.
+ * The full sweep: for each (device, fault preset) cell, the cost-cache
+ * run must match its pins and --direct must reproduce it bit for bit.
  */
-TEST(BatchEngineParity, AllModesBitIdenticalAcrossDevicesAndFaults)
+TEST(ServeParity, AllModesBitIdenticalAcrossDevicesAndFaults)
 {
     struct DeviceCase {
         const char *name;
@@ -194,23 +192,14 @@ TEST(BatchEngineParity, AllModesBitIdenticalAcrossDevicesAndFaults)
     for (const DeviceCase &device : devices) {
         for (const char *preset : faultPresets) {
             const ServeConfig config = parityConfig(preset, 2.0, 150);
-            const RunArtifacts scalar =
-                runWith(device.factory, config, 0, true);
+            const RunArtifacts cached =
+                runWith(device.factory, config, true);
             const std::string label =
                 std::string(device.name) + "/" + preset;
-            expectMatchesPin(scalar, pins[cell++], label);
-            expectArtifactsEqual(
-                scalar, runWith(device.factory, config, 1, true),
-                label + "/batch1");
-            expectArtifactsEqual(
-                scalar, runWith(device.factory, config, 7, true),
-                label + "/batch7");
-            expectArtifactsEqual(
-                scalar, runWith(device.factory, config, 64, true),
-                label + "/batch64");
-            expectArtifactsEqual(
-                scalar, runWith(device.factory, config, 64, false),
-                label + "/direct");
+            expectMatchesPin(cached, pins[cell++], label);
+            expectArtifactsEqual(cached,
+                                 runWith(device.factory, config, false),
+                                 label + "/direct");
         }
     }
 }
@@ -230,109 +219,94 @@ overloadConfig()
 }
 
 /**
- * Overload pressure exercises the paths batching interleaves with:
- * shedding at admission, stale re-checks at dequeue, the degradation
- * ladder, and deep-queue gathers with admissions arriving mid-commit.
+ * Overload pressure exercises shedding at admission, stale re-checks
+ * at dequeue, the degradation ladder, and deep queues with admissions
+ * arriving between commits.
  */
-TEST(BatchEngineParity, OverloadWithSheddingAndDegradation)
+TEST(ServeParity, OverloadWithSheddingAndDegradation)
 {
     const ServeConfig config = overloadConfig();
-    const RunArtifacts scalar =
-        runWith(&platform::makeMi8Pro, config, 0, true);
-    EXPECT_GT(scalar.stats.shedOverflow + scalar.stats.shedDeadline
-                  + scalar.stats.shedStale,
+    const RunArtifacts cached =
+        runWith(&platform::makeMi8Pro, config, true);
+    EXPECT_GT(cached.stats.shedOverflow + cached.stats.shedDeadline
+                  + cached.stats.shedStale,
               0);
-    EXPECT_GT(scalar.stats.degraded, 0);
-    expectArtifactsEqual(
-        scalar, runWith(&platform::makeMi8Pro, config, 64, true),
-        "overload/batch64");
-    expectArtifactsEqual(
-        scalar, runWith(&platform::makeMi8Pro, config, 3, true),
-        "overload/batch3");
+    EXPECT_GT(cached.stats.degraded, 0);
+    expectArtifactsEqual(cached,
+                         runWith(&platform::makeMi8Pro, config, false),
+                         "overload/direct");
 }
 
 /**
  * The overload run's exported bytes, pinned. The digests were recorded
  * at commit f8cb7f9, where the scalar and batched loops each had their
  * own metrics recorder (both agreed), so they hold the one remaining
- * recorder to the same bytes. A metering-only run builds no trace
+ * recorder and loop to the same bytes. A metering-only run builds no trace
  * events at all and must still export the same metrics.
  */
-TEST(BatchEngineParity, OverloadExportsMatchPinnedDigests)
+TEST(ServeParity, OverloadExportsMatchPinnedDigests)
 {
     const ServeConfig config = overloadConfig();
-    for (const int batch : {0, 64}) {
-        SCOPED_TRACE("batch " + std::to_string(batch));
-        const RunArtifacts traced =
-            runWith(&platform::makeMi8Pro, config, batch, true);
-        EXPECT_EQ(traced.stats.served, 45);
-        EXPECT_EQ(traced.stats.degraded, 45);
-        EXPECT_EQ(fnv1a(traced.metricsText), 0x4878c5142d35b9dfULL);
-        EXPECT_EQ(fnv1a(traced.traceJsonl), 0xf5fe24118194bceaULL);
-        const RunArtifacts metered =
-            runWith(&platform::makeMi8Pro, config, batch, true, false);
-        EXPECT_TRUE(metered.traceJsonl.empty());
-        EXPECT_EQ(metered.metricsText, traced.metricsText);
-    }
+    const RunArtifacts traced =
+        runWith(&platform::makeMi8Pro, config, true);
+    EXPECT_EQ(traced.stats.served, 45);
+    EXPECT_EQ(traced.stats.degraded, 45);
+    EXPECT_EQ(fnv1a(traced.metricsText), 0x4878c5142d35b9dfULL);
+    EXPECT_EQ(fnv1a(traced.traceJsonl), 0xf5fe24118194bceaULL);
+    const RunArtifacts metered =
+        runWith(&platform::makeMi8Pro, config, true, false);
+    EXPECT_TRUE(metered.traceJsonl.empty());
+    EXPECT_EQ(metered.metricsText, traced.metricsText);
 }
 
 /** Fixed baselines share the serving loop; parity must hold without a
  * learner (no Q-table, no checkpointing) too. */
-TEST(BatchEngineParity, FixedPolicyModesMatch)
+TEST(ServeParity, FixedPolicyModesMatch)
 {
     ServeConfig config = parityConfig("cloud-brownout", 2.0, 120);
     config.policyName = "cloud";
     config.trainRunsPerCombo = 0;
-    const RunArtifacts scalar =
-        runWith(&platform::makeMi8Pro, config, 0, true);
-    expectMatchesPin(scalar,
+    const RunArtifacts cached =
+        runWith(&platform::makeMi8Pro, config, true);
+    expectMatchesPin(cached,
                      {0x6226632b34f22e3dULL, 0x79314d78e31bfdbeULL,
                       0x784663441c31f1f6ULL},
                      "cloud-policy");
-    expectArtifactsEqual(
-        scalar, runWith(&platform::makeMi8Pro, config, 64, true),
-        "cloud-policy/batch64");
+    expectArtifactsEqual(cached,
+                         runWith(&platform::makeMi8Pro, config, false),
+                         "cloud-policy/direct");
 }
 
 /** Checkpoint artifacts are mode-independent too: the final checkpoint
- * written by a batched run is byte-identical to the scalar run's. */
-TEST(BatchEngineParity, CheckpointBytesMatchAcrossModes)
+ * a cost-cache run writes is byte-identical to the --direct run's. */
+TEST(ServeParity, CheckpointBytesMatchAcrossModes)
 {
-    const std::string scalarPath =
-        testing::TempDir() + "/batch_parity_scalar.ckpt";
-    const std::string batchedPath =
-        testing::TempDir() + "/batch_parity_batched.ckpt";
     ServeConfig config = parityConfig("none", 2.0, 120);
     config.checkpointIntervalRequests = 40;
-
-    config.checkpointPath = scalarPath;
-    config.batchSize = 0;
-    sim::InferenceSimulator sim =
-        sim::InferenceSimulator::makeDefault(platform::makeMi8Pro());
-    const ServeStats scalar = runServe(sim, config);
-
-    config.checkpointPath = batchedPath;
-    config.batchSize = 64;
-    const ServeStats batched = runServe(sim, config);
-
-    EXPECT_EQ(scalar.checkpointsWritten, batched.checkpointsWritten);
-    std::ifstream scalarIn(scalarPath, std::ios::binary);
-    std::ifstream batchedIn(batchedPath, std::ios::binary);
-    ASSERT_TRUE(scalarIn.good());
-    ASSERT_TRUE(batchedIn.good());
-    std::stringstream scalarBytes;
-    std::stringstream batchedBytes;
-    scalarBytes << scalarIn.rdbuf();
-    batchedBytes << batchedIn.rdbuf();
-    EXPECT_EQ(scalarBytes.str(), batchedBytes.str());
-    EXPECT_EQ(fnv1a(scalarBytes.str()), 0x1f1effb670e03350ULL);
-    std::remove(scalarPath.c_str());
-    std::remove(batchedPath.c_str());
+    std::vector<std::string> bytes;
+    std::vector<std::int64_t> written;
+    for (const bool useCostCache : {true, false}) {
+        config.checkpointPath = testing::TempDir() + "/serve_parity_"
+            + (useCostCache ? "cached" : "direct") + ".ckpt";
+        sim::InferenceSimulator sim =
+            sim::InferenceSimulator::makeDefault(platform::makeMi8Pro());
+        sim.setUseCostCache(useCostCache);
+        written.push_back(runServe(sim, config).checkpointsWritten);
+        std::ifstream in(config.checkpointPath, std::ios::binary);
+        ASSERT_TRUE(in.good());
+        std::stringstream contents;
+        contents << in.rdbuf();
+        bytes.push_back(contents.str());
+        std::remove(config.checkpointPath.c_str());
+    }
+    EXPECT_EQ(written[0], written[1]);
+    EXPECT_EQ(bytes[0], bytes[1]);
+    EXPECT_EQ(fnv1a(bytes[0]), 0x1f1effb670e03350ULL);
 }
 
 /** The fingerprint must actually detect stream divergence: different
  * seeds must not collide (a smoke test that it hashes real draws). */
-TEST(BatchEngineParity, FingerprintDiscriminatesSeeds)
+TEST(ServeParity, FingerprintDiscriminatesSeeds)
 {
     ServeConfig config = parityConfig("none", 2.0, 60);
     config.trainRunsPerCombo = 0;

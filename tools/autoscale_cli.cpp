@@ -84,7 +84,7 @@ scenariosFromArgs(const Args &args)
 
 /**
  * Strict numeric flag parsers for serve knobs outside the settings
- * table (batch, breaker, checkpoint and shard knobs): a present flag
+ * table (breaker, checkpoint and shard knobs): a present flag
  * whose value is missing, malformed, has trailing garbage, or
  * overflows is a usage error, not a default.
  */
@@ -699,11 +699,6 @@ cmdServe(const Args &args)
         strictInt(args, "--checkpoint-interval", 100);
     config.resume = args.has("--resume");
 
-    config.batchSize = strictInt(args, "--batch", config.batchSize);
-    if (config.batchSize < 0) {
-        fatal("--batch must be >= 0 (0 runs the scalar reference loop)");
-    }
-
     config.admission.maxDepth = spec.queueDepth;
     config.admission.degradeDepth = spec.degradeDepth;
 
@@ -914,10 +909,6 @@ usage()
         "        [--qtable FILE] [--train-runs N] [--network NAME]\n"
         "        [--policy autoscale|cloud|connected-edge|edge-best|\n"
         "         edge-cpu]\n"
-        "        [--batch N]           decision-path batch size\n"
-        "                              (default 64; 0 = scalar reference\n"
-        "                              loop; every value produces\n"
-        "                              byte-identical output)\n"
         "        [--seed N]            online serving loop: stochastic\n"
         "                              arrivals, admission control,\n"
         "                              circuit breakers, crash-safe\n"
