@@ -259,6 +259,30 @@ TEST(ServeParity, OverloadExportsMatchPinnedDigests)
     EXPECT_EQ(metered.metricsText, traced.metricsText);
 }
 
+/**
+ * A light load serves most arrivals, so the learner's exploration
+ * reaches infeasible picks and the commit's infeasible-fallback site,
+ * which the overloaded cells above, shedding most arrivals, never
+ * reach. The pins were recorded at commit 604f2b5, where the scalar
+ * loop, batch sizes 1 and 64 and --direct all exported these bytes.
+ */
+TEST(ServeParity, InfeasibleFallbackMatchesPinnedDigests)
+{
+    const ServeConfig config = parityConfig("flaky-wifi", 0.1, 400);
+    const RunArtifacts cached =
+        runWith(&platform::makeMi8Pro, config, true);
+    EXPECT_EQ(cached.stats.served, 217);
+    EXPECT_NE(cached.traceJsonl.find("\"fallback\":true"),
+              std::string::npos);
+    expectMatchesPin(cached,
+                     {0x53a16b309cb2489fULL, 0x3a6f1d18071260dbULL,
+                      0xdb9455c9503e8a55ULL},
+                     "light-load");
+    expectArtifactsEqual(cached,
+                         runWith(&platform::makeMi8Pro, config, false),
+                         "light-load/direct");
+}
+
 /** Fixed baselines share the serving loop; parity must hold without a
  * learner (no Q-table, no checkpointing) too. */
 TEST(ServeParity, FixedPolicyModesMatch)
