@@ -155,8 +155,29 @@ expectArtifactsEqual(const RunArtifacts &a, const RunArtifacts &b,
 }
 
 /**
- * The full sweep: for each (device, fault preset) cell, the cost-cache
- * run must match its pins and --direct must reproduce it bit for bit.
+ * Remote-bound traffic for the presets that only touch remote places:
+ * the cloud policy without pre-training, at a load light enough that
+ * most arrivals are served, for long enough that the served requests'
+ * environment steps reach the blackout window (from step 150) and the
+ * first brownout episode (steps 100-300). At the learner cells' 100
+ * req/s nothing offloads and too few requests are served to reach
+ * either window, so those presets would export the `none` bytes.
+ */
+ServeConfig
+remoteConfig(const std::string &faultPreset)
+{
+    ServeConfig config = parityConfig(faultPreset, 0.5, 600);
+    config.policyName = "cloud";
+    config.trainRunsPerCombo = 0;
+    return config;
+}
+
+/**
+ * The full sweep: for each (device, cell) pair, the cost-cache run
+ * must match its pins and --direct must reproduce it bit for bit. The
+ * learner cells run the `none` and `flaky-wifi` presets; the remote
+ * cells run `blackout` and `cloud-brownout` next to a fault-free run of
+ * the same traffic, and each preset must change that run's trace.
  */
 TEST(ServeParity, AllModesBitIdenticalAcrossDevicesAndFaults)
 {
@@ -169,37 +190,57 @@ TEST(ServeParity, AllModesBitIdenticalAcrossDevicesAndFaults)
         {"GalaxyS10e", &platform::makeGalaxyS10e},
         {"MotoXForce", &platform::makeMotoXForce},
     };
-    const std::vector<const char *> faultPresets = {
-        "none", "blackout", "flaky-wifi", "cloud-brownout"};
-    // Device-major, fault presets in the order above.
+    struct Cell {
+        std::string label;
+        ServeConfig config;
+    };
+    const std::vector<Cell> cells = {
+        {"none", parityConfig("none", 2.0, 150)},
+        {"flaky-wifi", parityConfig("flaky-wifi", 2.0, 150)},
+        {"cloud/none", remoteConfig("none")},
+        {"cloud/blackout", remoteConfig("blackout")},
+        {"cloud/cloud-brownout", remoteConfig("cloud-brownout")},
+    };
+    constexpr std::size_t kRemoteNone = 2;
+    // Device-major, cells in the order above. The learner cells' pins
+    // were recorded at commit 328ed89, the remote cells' at 62dfd6e.
     const std::vector<ExportPin> pins = {
         {0x1bb1ab953a0153c9ULL, 0xc4783b6ac9ff07ddULL, 0xf6cd4f9e82282cf9ULL},
-        {0x1bb1ab953a0153c9ULL, 0xc4783b6ac9ff07ddULL, 0xf6cd4f9e82282cf9ULL},
         {0x635209438a7fdde4ULL, 0xc816ecb1b9cba7dfULL, 0xf6cd4f9e82282cf9ULL},
-        {0x1bb1ab953a0153c9ULL, 0xc4783b6ac9ff07ddULL, 0xf6cd4f9e82282cf9ULL},
-        {0xf52358d2a84203a5ULL, 0xda2e21b60a09a56dULL, 0xd71d413ef6faf012ULL},
+        {0xf0a248447a57470cULL, 0x3d0cfed7f6ad9e1cULL, 0x77fd09fbd49a3c9dULL},
+        {0xcafff11065e171bcULL, 0x810e3da1b249eadfULL, 0x89d587fe6caca2e1ULL},
+        {0x6d37fa54f32d3faeULL, 0xd5e29998a71661fbULL, 0x71bd6b7d2b7ff2cdULL},
         {0xf52358d2a84203a5ULL, 0xda2e21b60a09a56dULL, 0xd71d413ef6faf012ULL},
         {0xfab5492f918d0de9ULL, 0xfde658c4172e4cedULL, 0x71ec16d7242b76e8ULL},
-        {0xf52358d2a84203a5ULL, 0xda2e21b60a09a56dULL, 0xd71d413ef6faf012ULL},
-        {0x09b3fed5c85369a2ULL, 0x2ac6793ada470e6cULL, 0x63b6063313a9a329ULL},
+        {0xeec6c69f23383b7cULL, 0x018104d8dde2d627ULL, 0x561a264391d67401ULL},
+        {0x2aa43470f36c82feULL, 0x2e3754e702b79f6dULL, 0x0f9bf15b6f0b8438ULL},
+        {0x67aacf5987c3e72dULL, 0xfac8ff874548f7f8ULL, 0x8b4a1f06bde77875ULL},
         {0x09b3fed5c85369a2ULL, 0x2ac6793ada470e6cULL, 0x63b6063313a9a329ULL},
         {0xd7e6b6622d668e00ULL, 0xafc5a22017329f6cULL, 0x63b6063313a9a329ULL},
-        {0x09b3fed5c85369a2ULL, 0x2ac6793ada470e6cULL, 0x63b6063313a9a329ULL},
+        {0xd418b2c2e06aa2b5ULL, 0xe97178282da59580ULL, 0xb8947ce99b5618c2ULL},
+        {0x8e43153858d66b57ULL, 0x47a925731583b83fULL, 0x3b8a565e505d71afULL},
+        {0xe12bb79dd4ef048eULL, 0xe8980795e98062bbULL, 0x1562014d4742b73dULL},
     };
-    ASSERT_EQ(pins.size(), devices.size() * faultPresets.size());
+    ASSERT_EQ(pins.size(), devices.size() * cells.size());
 
-    std::size_t cell = 0;
+    std::size_t pin = 0;
     for (const DeviceCase &device : devices) {
-        for (const char *preset : faultPresets) {
-            const ServeConfig config = parityConfig(preset, 2.0, 150);
+        std::vector<std::uint64_t> traceDigests;
+        for (const Cell &cell : cells) {
             const RunArtifacts cached =
-                runWith(device.factory, config, true);
+                runWith(device.factory, cell.config, true);
             const std::string label =
-                std::string(device.name) + "/" + preset;
-            expectMatchesPin(cached, pins[cell++], label);
+                std::string(device.name) + "/" + cell.label;
+            expectMatchesPin(cached, pins[pin++], label);
             expectArtifactsEqual(cached,
-                                 runWith(device.factory, config, false),
+                                 runWith(device.factory, cell.config, false),
                                  label + "/direct");
+            traceDigests.push_back(fnv1a(cached.traceJsonl));
+        }
+        for (std::size_t c = kRemoteNone + 1; c < cells.size(); ++c) {
+            EXPECT_NE(traceDigests[c], traceDigests[kRemoteNone])
+                << device.name << "/" << cells[c].label
+                << " exports the fault-free bytes";
         }
     }
 }
