@@ -14,7 +14,10 @@
  * process is still small — a --memory-devices fleet (default 1000000)
  * of fixed-policy devices runs one contention epoch sweep with
  * aggregate stats, and --check fails unless it completes under
- * --memory-budget bytes/device (default 4096; measured ~1.7 KB).
+ * --memory-budget bytes/device (default 2048; measured 1,372 B on a
+ * 4-vCPU host, Release build, 1,764 B before devices read their
+ * arrival and breaker settings through the plan and the admission
+ * ring started at two slots).
  */
 
 #include <algorithm>
@@ -238,7 +241,7 @@ main(int argc, char **argv)
     const int checkDevices = args.getInt("--check-devices", 1000);
     const int memoryDevices = args.getInt("--memory-devices", 1000000);
     const double memoryBudget =
-        static_cast<double>(args.getInt("--memory-budget", 4096));
+        static_cast<double>(args.getInt("--memory-budget", 2048));
     const std::string out = args.get("--out", "BENCH_fleet.json");
     const bool check = args.has("--check");
     const std::string scenarioPath = args.get("--scenario");

@@ -15,11 +15,11 @@ AdmissionQueue::AdmissionQueue(const AdmissionConfig &config)
 void
 AdmissionQueue::grow()
 {
-    // Double up to maxDepth; a small initial ring keeps idle fleet
-    // devices near-free while a saturated queue settles at one
-    // allocation of maxDepth slots.
+    // Double up to maxDepth from a two-slot first ring: most fleet
+    // devices never hold more than a request or two, and a saturated
+    // queue still settles at one allocation of maxDepth slots.
     const std::size_t cap = static_cast<std::size_t>(config_.maxDepth);
-    std::size_t next = capacity_ == 0 ? std::min<std::size_t>(8, cap)
+    std::size_t next = capacity_ == 0 ? std::min<std::size_t>(2, cap)
                                       : std::min(capacity_ * 2, cap);
     AS_CHECK(next > size_);
     auto ring = std::make_unique<QueuedRequest[]>(next);

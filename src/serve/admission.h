@@ -58,9 +58,9 @@ struct QueuedRequest {
  * std::deque: a fleet holds one queue per device, most of which are
  * shallow or briefly used, and the deque's eagerly allocated chunk map
  * costs ~0.5 KB per device before a single request arrives
- * (DESIGN.md §18). An idle queue owns no heap at all; the ring doubles
- * up to maxDepth on demand. FIFO order and the admission arithmetic
- * are unchanged.
+ * (DESIGN.md §18). An idle queue owns no heap at all; the first admit
+ * allocates two slots, and the ring doubles up to maxDepth on demand.
+ * FIFO order and the admission arithmetic are unchanged.
  */
 class AdmissionQueue {
   public:

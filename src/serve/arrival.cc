@@ -31,9 +31,9 @@ ArrivalConfig::ratePerMs(double nowMs) const
 
 ArrivalProcess::ArrivalProcess(const ArrivalConfig &config,
                                std::uint64_t seed)
-    : config_(config), rng_(seed)
+    : config_(&config), rng_(seed)
 {
-    AS_CHECK(config_.ratePerSec > 0.0);
+    AS_CHECK(config_->ratePerSec > 0.0);
 }
 
 double
@@ -44,7 +44,7 @@ ArrivalProcess::nextArrivalMs()
     if (u < 1e-300) {
         u = 1e-300; // avoid log(0)
     }
-    const double rate = config_.ratePerMs(clockMs_);
+    const double rate = config_->ratePerMs(clockMs_);
     clockMs_ += -std::log(u) / rate;
     ++count_;
     return clockMs_;

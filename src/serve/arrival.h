@@ -49,10 +49,16 @@ struct ArrivalConfig {
     double ratePerMs(double nowMs) const;
 };
 
-/** Deterministic Poisson/burst arrival-time generator. */
+/**
+ * Deterministic Poisson/burst arrival-time generator. It reads
+ * @p config through a pointer rather than copying it: every fleet
+ * device's process reads its plan's one ArrivalConfig (DESIGN.md §18),
+ * which must outlive the process.
+ */
 class ArrivalProcess {
   public:
     ArrivalProcess(const ArrivalConfig &config, std::uint64_t seed);
+    ArrivalProcess(ArrivalConfig &&, std::uint64_t) = delete;
 
     /**
      * Virtual time of the next arrival, ms. Each call consumes one
@@ -65,10 +71,10 @@ class ArrivalProcess {
     /** Arrivals generated so far. */
     std::int64_t count() const { return count_; }
 
-    const ArrivalConfig &config() const { return config_; }
+    const ArrivalConfig &config() const { return *config_; }
 
   private:
-    ArrivalConfig config_;
+    const ArrivalConfig *config_;
     Rng rng_;
     double clockMs_ = 0.0;
     std::int64_t count_ = 0;

@@ -22,14 +22,15 @@ breakerStateName(BreakerState state)
 
 CircuitBreaker::CircuitBreaker(const BreakerPolicy &policy,
                                std::uint64_t seed)
-    : policy_(policy), rng_(seed)
+    : policy_(&policy), rng_(seed)
 {
-    AS_CHECK(policy_.failureThreshold > 0);
-    AS_CHECK(policy_.openBaseMs > 0.0);
-    AS_CHECK(policy_.openMaxMs >= policy_.openBaseMs);
-    AS_CHECK(policy_.openBackoffMultiplier >= 1.0);
-    AS_CHECK(policy_.probeJitterFrac >= 0.0 && policy_.probeJitterFrac < 1.0);
-    AS_CHECK(policy_.halfOpenSuccesses > 0);
+    AS_CHECK(policy_->failureThreshold > 0);
+    AS_CHECK(policy_->openBaseMs > 0.0);
+    AS_CHECK(policy_->openMaxMs >= policy_->openBaseMs);
+    AS_CHECK(policy_->openBackoffMultiplier >= 1.0);
+    AS_CHECK(policy_->probeJitterFrac >= 0.0
+             && policy_->probeJitterFrac < 1.0);
+    AS_CHECK(policy_->halfOpenSuccesses > 0);
 }
 
 bool
@@ -69,7 +70,7 @@ CircuitBreaker::recordSuccess(double nowMs)
         // treat it as a late probe result and ignore.
         return;
     case BreakerState::HalfOpen:
-        if (++consecutiveProbeSuccesses_ >= policy_.halfOpenSuccesses) {
+        if (++consecutiveProbeSuccesses_ >= policy_->halfOpenSuccesses) {
             close(nowMs);
         }
         return;
@@ -81,7 +82,7 @@ CircuitBreaker::recordFailure(double nowMs)
 {
     switch (state_) {
     case BreakerState::Closed:
-        if (++consecutiveFailures_ >= policy_.failureThreshold) {
+        if (++consecutiveFailures_ >= policy_->failureThreshold) {
             open(nowMs);
         }
         return;
@@ -108,13 +109,13 @@ CircuitBreaker::open(double nowMs)
     consecutiveFailures_ = 0;
     consecutiveProbeSuccesses_ = 0;
 
-    double cooldown = policy_.openBaseMs;
+    double cooldown = policy_->openBaseMs;
     for (int i = 0; i < reopenCount_; ++i) {
-        cooldown = std::min(cooldown * policy_.openBackoffMultiplier,
-                            policy_.openMaxMs);
+        cooldown = std::min(cooldown * policy_->openBackoffMultiplier,
+                            policy_->openMaxMs);
     }
-    const double jitter = policy_.probeJitterFrac > 0.0
-        ? rng_.uniform(-policy_.probeJitterFrac, policy_.probeJitterFrac)
+    const double jitter = policy_->probeJitterFrac > 0.0
+        ? rng_.uniform(-policy_->probeJitterFrac, policy_->probeJitterFrac)
         : 0.0;
     probeAtMs_ = nowMs + cooldown * (1.0 + jitter);
 }

@@ -65,10 +65,16 @@ struct BreakerStats {
     double totalOpenMs = 0.0;
 };
 
-/** One circuit breaker guarding one remote place. */
+/**
+ * One circuit breaker guarding one remote place. It reads @p policy
+ * through a pointer rather than copying it: every fleet device's
+ * breakers read their plan's one BreakerPolicy (DESIGN.md §18), which
+ * must outlive the breaker.
+ */
 class CircuitBreaker {
   public:
     CircuitBreaker(const BreakerPolicy &policy, std::uint64_t seed);
+    CircuitBreaker(BreakerPolicy &&, std::uint64_t) = delete;
 
     /**
      * Gate a request at virtual time @p nowMs. Returns false when the
@@ -101,7 +107,7 @@ class CircuitBreaker {
     void open(double nowMs);
     void close(double nowMs);
 
-    BreakerPolicy policy_;
+    const BreakerPolicy *policy_;
     Rng rng_;
     BreakerState state_ = BreakerState::Closed;
     int consecutiveFailures_ = 0;

@@ -254,8 +254,6 @@ DeviceState::init(std::uint64_t seed,
     queue.emplace(config().admission);
     wlanBreaker.emplace(config().breaker, wlanSeed);
     p2pBreaker.emplace(config().breaker, p2pSeed);
-    probeRetry = config().retry;
-    probeRetry.maxRetries = 0;
 
     clockMs = 0.0;
     ewmaServiceMs = plan->nominalServiceMs;
@@ -423,8 +421,10 @@ DeviceState::commitRequest(const QueuedRequest &queued, int degradeLevel,
 
     // Half-open probes run with zero retries: one cheap attempt
     // decides reopen-vs-close instead of a full retry cycle.
-    const fault::RetryPolicy &retry =
-        breaker != nullptr && probing ? probeRetry : config().retry;
+    fault::RetryPolicy retry = config().retry;
+    if (breaker != nullptr && probing) {
+        retry.maxRetries = 0;
+    }
     sim::FaultOutcome faultResult = baselines::executeDecisionWithFaults(
         sim(), workload.request, decision, env, retry, execRng);
     if (breaker != nullptr) {

@@ -200,11 +200,12 @@ struct DeviceState {
     std::int64_t startStep = 0;
 
     std::optional<env::Scenario> scenario;
+    /** The arrival process and breakers read their settings through
+     * the plan (config().arrival, config().breaker), never a copy. */
     std::optional<ArrivalProcess> arrivals;
     std::optional<AdmissionQueue> queue;
     std::optional<CircuitBreaker> wlanBreaker;
     std::optional<CircuitBreaker> p2pBreaker;
-    fault::RetryPolicy probeRetry;
 
     /**
      * This device's metrics recorder; null when metering is off. A

@@ -397,7 +397,12 @@ runFleet(const sim::InferenceSimulator &sim, const FleetConfig &config,
         return std::make_pair(begin, std::min(n, begin + perShard));
     };
     // Memory is charged as the largest RSS sampled during this run over
-    // the RSS at entry, never the process-lifetime peak.
+    // the RSS at entry, never the process-lifetime peak. The entry RSS
+    // is read after free heap is returned, so memory that earlier work
+    // freed and this run reuses still counts.
+    if (config.reportMemory) {
+        util::releaseFreeHeap();
+    }
     const std::uint64_t rssBaseline =
         config.reportMemory ? util::currentRssBytes() : 0;
     std::uint64_t rssPeak = 0;
@@ -408,8 +413,8 @@ runFleet(const sim::InferenceSimulator &sim, const FleetConfig &config,
     };
 
     // One pool for the fleet's lifetime: every O(N) phase (construction,
-    // each epoch, finish, teardown) runs one task per shard on it. With
-    // one worker the shards run inline on this thread.
+    // each epoch, finish) runs one task per shard on it. With one
+    // worker the shards run inline on this thread.
     const std::size_t workers =
         jobs > 1 ? std::min(static_cast<std::size_t>(jobs), shards) : 1;
     std::optional<ThreadPool> pool;
@@ -735,23 +740,47 @@ runFleet(const sim::InferenceSimulator &sim, const FleetConfig &config,
               + "; the manifest does not belong to this configuration");
     }
 
-    // --- Finalize on the pool, then fold in device-index order. Each
-    // shard finishes its devices and sums their integer counts; unless
-    // per-device stats are kept, it keeps only the words the ordered
-    // fold needs per device (DeviceTotals). One serial pass then folds
-    // the checksum, the clock and the floating-point totals in device
-    // order, the same arithmetic in the same order as a serial
-    // finish. ---
-    std::vector<DeviceTotals> totals;
-    std::vector<FleetAggregate> shardCounts(shards);
-    if (config.aggregateStats) {
-        totals.resize(n);
-    } else {
-        stats.devices.resize(n);
+    // --- Finish and free on the pool (DESIGN.md §18). Each shard task
+    // finishes its devices, keeps what the report needs of each (its
+    // ServeStats, or under aggregateStats only the words the ordered
+    // fold reads), writes their Q-table dumps when asked, and frees its
+    // device records, so the results are gathered into FleetStats only
+    // once every record is gone.
+    //
+    // A learner's finish may write its Q-table while another shard
+    // frees tables that share its base. A table writes its base in
+    // place only while it is the sole holder (core/qtable.h), so this
+    // thread holds one more share of every shared base until the
+    // tasks are done: their writes go to private rows, as they did
+    // when every record outlived the finish. ---
+    std::vector<core::QTable> baseKeepers;
+    for (const core::AutoScaleScheduler *scheduler : schedulers) {
+        const core::QTable &table = scheduler->agent().table();
+        if (table.baseHolders() > 1
+            && std::none_of(baseKeepers.begin(), baseKeepers.end(),
+                            [&](const core::QTable &kept) {
+                                return kept.baseId() == table.baseId();
+                            })) {
+            baseKeepers.push_back(table.baseShare());
+        }
     }
+    struct FinishedShard {
+        FleetAggregate counts;
+        std::vector<ServeStats> devices;
+        std::vector<DeviceTotals> totals;
+        std::string qtables;
+    };
+    std::vector<FinishedShard> finished(shards);
+    const bool dumpQTables = config.collectQTables && learnerPolicy;
     forEachShard([&](std::size_t shard) {
         const auto [begin, end] = shardRange(shard);
-        FleetAggregate &counts = shardCounts[shard];
+        FinishedShard &out = finished[shard];
+        FleetAggregate &counts = out.counts;
+        if (config.aggregateStats) {
+            out.totals.reserve(end - begin);
+        } else {
+            out.devices.reserve(end - begin);
+        }
         for (std::size_t d = begin; d < end; ++d) {
             ServeStats device = devices[d].finish();
             counts.arrivals += device.arrivals;
@@ -762,25 +791,35 @@ runFleet(const sim::InferenceSimulator &sim, const FleetConfig &config,
             counts.degraded += device.degraded;
             counts.qosViolations += device.qosViolations;
             if (config.aggregateStats) {
-                totals[d] = totalsOf(device);
+                out.totals.push_back(totalsOf(device));
             } else {
-                stats.devices[d] = std::move(device);
+                out.devices.push_back(std::move(device));
             }
         }
+        if (dumpQTables) {
+            std::ostringstream dump;
+            for (std::size_t d = begin; d < end; ++d) {
+                dump << "# device " << d << '\n';
+                devices[d].scheduler()->saveQTable(dump);
+            }
+            out.qtables = dump.str();
+        }
+        // This shard's views dangle from here on; nothing reads them.
+        std::vector<DeviceState>().swap(records[shard]);
     });
-    for (const FleetAggregate &counts : shardCounts) {
-        stats.aggregate.arrivals += counts.arrivals;
-        stats.aggregate.served += counts.served;
-        stats.aggregate.shed += counts.shed;
-        stats.aggregate.shedChurn += counts.shedChurn;
-        stats.aggregate.degraded += counts.degraded;
-        stats.aggregate.qosViolations += counts.qosViolations;
+    baseKeepers.clear();
+    devices.clear();
+    schedulers.clear();
+
+    // One serial pass in device-index order: shard totals, then each
+    // device's checksum words, clock and floating-point totals (the
+    // same arithmetic in the same order as a serial finish), moving
+    // the kept stats into place and freeing each shard's buffers.
+    if (!config.aggregateStats) {
+        stats.devices.reserve(n);
     }
     std::uint64_t checksum = 0;
-    for (std::size_t d = 0; d < n; ++d) {
-        const DeviceTotals device = config.aggregateStats
-            ? totals[d]
-            : totalsOf(stats.devices[d]);
+    auto foldDevice = [&](const DeviceTotals &device) {
         stats.endClockMs = std::max(stats.endClockMs, device.endClockMs);
         checksum = mixChecksum(checksum, device.rngFingerprint);
         checksum = mixChecksum(
@@ -793,6 +832,24 @@ runFleet(const sim::InferenceSimulator &sim, const FleetConfig &config,
             checksum, std::bit_cast<std::uint64_t>(device.endClockMs));
         stats.aggregate.energyJ += device.energyJ;
         stats.aggregate.wastedEnergyJ += device.wastedEnergyJ;
+    };
+    for (FinishedShard &shard : finished) {
+        const FleetAggregate &counts = shard.counts;
+        stats.aggregate.arrivals += counts.arrivals;
+        stats.aggregate.served += counts.served;
+        stats.aggregate.shed += counts.shed;
+        stats.aggregate.shedChurn += counts.shedChurn;
+        stats.aggregate.degraded += counts.degraded;
+        stats.aggregate.qosViolations += counts.qosViolations;
+        for (const DeviceTotals &device : shard.totals) {
+            foldDevice(device);
+        }
+        for (ServeStats &device : shard.devices) {
+            foldDevice(totalsOf(device));
+            stats.devices.push_back(std::move(device));
+        }
+        stats.qtableDump += shard.qtables;
+        shard = FinishedShard{};
     }
     stats.checksum = checksum;
     sampleRss();
@@ -836,22 +893,6 @@ runFleet(const sim::InferenceSimulator &sim, const FleetConfig &config,
         obs.metrics->inc("serve.fleet.outage_windows",
                          stats.outageWindows);
     }
-
-    if (config.collectQTables && learnerPolicy) {
-        std::ostringstream dump;
-        for (std::size_t i = 0; i < n; ++i) {
-            dump << "# device " << i << '\n';
-            devices[i].scheduler()->saveQTable(dump);
-        }
-        stats.qtableDump = dump.str();
-    }
-
-    // Each shard frees its own records on the pool; the views are
-    // dangling from here on.
-    devices.clear();
-    forEachShard([&](std::size_t shard) {
-        std::vector<DeviceState>().swap(records[shard]);
-    });
 
     if (config.reportMemory) {
         stats.peakRssBytes = rssPeak;

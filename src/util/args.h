@@ -206,6 +206,19 @@ class Args {
     /** Number of raw tokens (after `=`-form splitting). */
     std::size_t size() const { return tokens_.size(); }
 
+    /** Every `--flag` token, in order (values and operands left out). */
+    std::vector<std::string>
+    flags() const
+    {
+        std::vector<std::string> flags;
+        for (const auto &token : tokens_) {
+            if (token.size() > 2 && token[0] == '-' && token[1] == '-') {
+                flags.push_back(token);
+            }
+        }
+        return flags;
+    }
+
   private:
     void
     init(std::vector<std::string> tokens)

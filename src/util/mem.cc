@@ -4,6 +4,10 @@
 #include <sstream>
 #include <string>
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 namespace autoscale::util {
 
 namespace {
@@ -41,6 +45,14 @@ std::uint64_t
 currentRssBytes()
 {
     return statusLineBytes("VmRSS:");
+}
+
+void
+releaseFreeHeap()
+{
+#if defined(__GLIBC__)
+    malloc_trim(0);
+#endif
 }
 
 } // namespace autoscale::util

@@ -19,6 +19,14 @@ std::uint64_t peakRssBytes();
 /** Current resident set size (VmRSS), bytes; 0 when unavailable. */
 std::uint64_t currentRssBytes();
 
+/**
+ * Return the heap's free pages to the system (glibc malloc_trim; a
+ * no-op elsewhere), so the next currentRssBytes() counts live memory
+ * only. Without it, a run that fits in memory earlier work freed
+ * reads as using none.
+ */
+void releaseFreeHeap();
+
 } // namespace autoscale::util
 
 #endif // AUTOSCALE_UTIL_MEM_H_

@@ -21,6 +21,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -106,6 +107,61 @@ strictInt(const Args &args, const std::string &flag, int fallback)
         fatal(flag + " expects an integer, got '" + args.get(flag) + "'");
     }
     return value;
+}
+
+/** train spells workload.train_runs `--runs`. */
+const scenario::FlagRenames kTrainRenames = {{"--train-runs", "--runs"}};
+
+/**
+ * The flags @p command reads, or nothing for an unknown command. The
+ * commands that resolve a scenario spec (train, evaluate, loo, serve)
+ * also read every settings-table flag, in their own spelling, and the
+ * scenario-file, fault, --direct and observability flags.
+ */
+std::optional<std::set<std::string>>
+commandFlags(const std::string &command)
+{
+    const std::vector<std::string> envFlags = {
+        "--device", "--direct", "--accuracy", "--co-cpu",
+        "--co-mem", "--rssi-wlan", "--rssi-p2p"};
+    const std::map<std::string, std::vector<std::string>> own = {
+        {"devices", {}},
+        {"workloads", {}},
+        {"characterize", envFlags},
+        {"decide", envFlags},
+        {"train", {"--scenarios", "--out"}},
+        {"evaluate", {"--scenarios", "--qtable", "--runs", "--csv", "--jobs"}},
+        {"loo", {"--scenarios", "--runs", "--warmup", "--csv", "--jobs"}},
+        {"serve",
+         {"--policy", "--qtable", "--checkpoint", "--checkpoint-interval",
+          "--resume", "--breaker", "--breaker-open-ms",
+          "--breaker-probe-successes", "--shards", "--checkpoint-every",
+          "--halt-after-epochs", "--fleet-qtable-out", "--fleet-memory",
+          "--jobs"}},
+    };
+    const auto found = own.find(command);
+    if (found == own.end()) {
+        return std::nullopt;
+    }
+    std::set<std::string> flags(found->second.begin(), found->second.end());
+    if (command == "decide") {
+        flags.insert({"--network", "--top"});
+    }
+    if (command == "train" || command == "evaluate" || command == "loo"
+        || command == "serve") {
+        const scenario::FlagRenames renames =
+            command == "train" ? kTrainRenames : scenario::FlagRenames{};
+        for (const scenario::Setting &setting : scenario::settings()) {
+            if (setting.flag != nullptr) {
+                const auto renamed = renames.find(setting.flag);
+                flags.insert(renamed != renames.end() ? renamed->second
+                                                      : setting.flag);
+            }
+        }
+        flags.insert({"--scenario", "--variant", "--faults", "--direct",
+                      "--trace", "--trace-format", "--metrics"});
+    }
+    return flags;
 }
 
 /** Basename of a scenario path, so banners stay checkout-independent. */
@@ -382,9 +438,8 @@ cmdDecide(const Args &args)
 int
 cmdTrain(const Args &args)
 {
-    // train spells workload.train_runs `--runs`.
-    const scenario::ScenarioSpec spec = resolveSpec(
-        args, args.get("--scenario"), {{"--train-runs", "--runs"}});
+    const scenario::ScenarioSpec spec =
+        resolveSpec(args, args.get("--scenario"), kTrainRenames);
 
     sim::InferenceSimulator sim = simFromArgs(args, spec.deviceModel);
     const std::vector<env::ScenarioId> scenarios =
@@ -1003,6 +1058,15 @@ main(int argc, char **argv)
         }
     }
     const std::string command = argv[1];
+    // A misspelt or retired flag fails loudly instead of leaving its
+    // setting at the default.
+    if (const auto known = commandFlags(command)) {
+        for (const std::string &flag : args.flags()) {
+            if (known->count(flag) == 0) {
+                fatal(flag + " is not a flag of '" + command + "'");
+            }
+        }
+    }
     if (command == "devices") {
         return cmdDevices();
     }
