@@ -121,33 +121,39 @@ featureBin(Feature feature, const StateFeatures &features)
     panic("featureBin: unknown feature");
 }
 
+namespace {
+
+int
+countStates(const std::array<bool, kNumFeatures> &enabled)
+{
+    int total = 1;
+    for (int i = 0; i < kNumFeatures; ++i) {
+        if (enabled[i]) {
+            total *= featureCardinality(static_cast<Feature>(i));
+        }
+    }
+    return total;
+}
+
+} // namespace
+
 StateEncoder::StateEncoder()
 {
     enabled_.fill(true);
+    numStates_ = countStates(enabled_);
 }
 
 void
 StateEncoder::disableFeature(Feature feature)
 {
     enabled_[static_cast<int>(feature)] = false;
+    numStates_ = countStates(enabled_);
 }
 
 bool
 StateEncoder::isEnabled(Feature feature) const
 {
     return enabled_[static_cast<int>(feature)];
-}
-
-int
-StateEncoder::numStates() const
-{
-    int total = 1;
-    for (int i = 0; i < kNumFeatures; ++i) {
-        if (enabled_[i]) {
-            total *= featureCardinality(static_cast<Feature>(i));
-        }
-    }
-    return total;
 }
 
 StateId
@@ -161,7 +167,7 @@ StateEncoder::encode(const StateFeatures &features) const
         const auto feature = static_cast<Feature>(i);
         id = id * featureCardinality(feature) + featureBin(feature, features);
     }
-    AS_CHECK(id >= 0 && id < numStates());
+    AS_CHECK(id >= 0 && id < numStates_);
     return id;
 }
 

@@ -83,7 +83,7 @@ class StateEncoder {
     bool isEnabled(Feature feature) const;
 
     /** Total number of discrete states (3,072 with all features). */
-    int numStates() const;
+    int numStates() const { return numStates_; }
 
     /** Dense state id in [0, numStates()). */
     StateId encode(const StateFeatures &features) const;
@@ -93,6 +93,11 @@ class StateEncoder {
 
   private:
     std::array<bool, kNumFeatures> enabled_;
+    /**
+     * Product of the enabled features' cardinalities, kept current by
+     * the constructor and disableFeature.
+     */
+    int numStates_ = 0;
 };
 
 } // namespace autoscale::core

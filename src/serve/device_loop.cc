@@ -494,6 +494,14 @@ DeviceState::commitRequest(const QueuedRequest &queued, int degradeLevel,
     const double finishMs = clockMs + serviceMs;
     const bool qosViolated = finishMs > queued.deadlineMs;
 
+    // The device serves at most the arrivals it receives, so one
+    // reservation at its first served request means the buffer never
+    // regrows (DESIGN.md §14). Reserving at construction instead would
+    // put the allocation on the serial set-up path of a fleet.
+    if (stats.latenciesMs.capacity() == 0) {
+        stats.latenciesMs.reserve(
+            static_cast<std::size_t>(config().totalRequests));
+    }
     ++stats.served;
     stats.totalWaitMs += waitMs;
     stats.totalServiceMs += serviceMs;

@@ -258,12 +258,20 @@ mergeQTablesVisitWeighted(
         return;
     }
     checkMergeShapes(schedulers);
-    const MergedRows merged = sumCandidateRows(schedulers);
-    if (merged.states.empty() && merged.bases == 1) {
-        // One base and no private rows: every table already reads the
-        // merged values.
+    // One base and no private rows: every table already reads the
+    // merged values. Checked before the sums, which would allocate and
+    // walk every device's visited rows only to find no candidate row.
+    const void *firstBase = schedulers.front()->agent().table().baseId();
+    if (std::all_of(schedulers.begin(), schedulers.end(),
+                    [&](const core::AutoScaleScheduler *scheduler) {
+                        const core::QTable &table =
+                            scheduler->agent().table();
+                        return table.baseId() == firstBase
+                            && table.privateStates().empty();
+                    })) {
         return;
     }
+    const MergedRows merged = sumCandidateRows(schedulers);
     const std::size_t width = merged.width;
 
     // The new base: the reference base with every candidate row merged.

@@ -55,6 +55,27 @@ InferenceSimulator::InferenceSimulator(platform::Device local,
 
     costCache_.build(local_, connected_, cloud_);
 
+    for (std::size_t place = 0; place < kNumPlaces; ++place) {
+        for (std::size_t kind = 0; kind < kNumProcKinds; ++kind) {
+            const auto target_place = static_cast<TargetPlace>(place);
+            const auto proc_kind = static_cast<platform::ProcKind>(kind);
+            const platform::Processor *proc =
+                deviceAt(target_place).processor(proc_kind);
+            targetVfSteps_[place][kind] =
+                proc != nullptr ? proc->numVfSteps() : 0;
+            for (std::size_t precision = 0; precision < kNumPrecisions;
+                 ++precision) {
+                const ExecutionTarget target{
+                    target_place, proc_kind, 0,
+                    static_cast<dnn::Precision>(precision)};
+                for (const bool usable : {false, true}) {
+                    targetAvailable_[usable][place][kind][precision] =
+                        resolveTargetAvailable(target, usable);
+                }
+            }
+        }
+    }
+
     // bestLocalTarget candidates in the exact enumeration order of the
     // direct path (processors() × precision at top frequency), split by
     // the only network-dependent feasibility clause so the per-call
@@ -149,6 +170,20 @@ bool
 InferenceSimulator::targetAvailable(const ExecutionTarget &target,
                                     bool coProcessorsUsable) const
 {
+    if (!useCostCache_) {
+        return resolveTargetAvailable(target, coProcessorsUsable);
+    }
+    const auto place = static_cast<std::size_t>(target.place);
+    const auto kind = static_cast<std::size_t>(target.proc);
+    return targetAvailable_[coProcessorsUsable][place][kind]
+                           [precisionIndex(target.precision)]
+        && target.vfIndex < targetVfSteps_[place][kind];
+}
+
+bool
+InferenceSimulator::resolveTargetAvailable(const ExecutionTarget &target,
+                                           bool coProcessorsUsable) const
+{
     const platform::Device &device = deviceAt(target.place);
     const platform::Processor *proc = device.processor(target.proc);
     if (proc == nullptr) {
@@ -188,19 +223,8 @@ InferenceSimulator::remoteComputeMs(const dnn::Network &network,
                                     platform::ProcKind proc,
                                     dnn::Precision precision) const
 {
-    const platform::Device &device = deviceAt(place);
-    const platform::Processor *p = device.processor(proc);
+    const platform::Processor *p = deviceAt(place).processor(proc);
     AS_CHECK(p != nullptr);
-    // Remote systems run at their top frequency with no on-device
-    // interference, so the precomputed unit-derate total is the whole
-    // answer: one array read instead of the per-layer roofline loop.
-    if (useCostCache_) {
-        const CostModelCache::ConfigTable *table =
-            costCache_.table(network, place, proc, precision);
-        if (table != nullptr) {
-            return table->vf[p->maxVfIndex()].totalMs;
-        }
-    }
     return p->networkLatencyMs(network, precision, p->maxVfIndex());
 }
 
@@ -230,13 +254,18 @@ InferenceSimulator::measure(const dnn::Network &network,
     // it still matters indirectly through slowdown and heat.
     const double system_power_w = local_.basePowerW();
 
+    // Zoo networks on the cost cache read every latency from their
+    // config table; anything else (--direct, synthetic networks) takes
+    // the per-layer roofline path.
+    const CostModelCache::NetworkEntry *entry =
+        useCostCache_ ? costCache_.entry(network) : nullptr;
+    const CostModelCache::ConfigTable *table = entry != nullptr
+        ? entry->table(target.place, target.proc, target.precision)
+        : nullptr;
+
     if (target.place == TargetPlace::Local) {
         const platform::Processor *proc = local_.processor(target.proc);
         const platform::Derate derate = env::derateFor(target.proc, env);
-        const CostModelCache::ConfigTable *table = useCostCache_
-            ? costCache_.table(network, TargetPlace::Local, target.proc,
-                               target.precision)
-            : nullptr;
         double compute_ms = table != nullptr
             ? table->networkLatencyMs(target.vfIndex, derate)
             : proc->networkLatencyMs(network, target.precision,
@@ -261,14 +290,19 @@ InferenceSimulator::measure(const dnn::Network &network,
         const double rssi =
             to_cloud ? env.rssiWlanDbm : env.rssiP2pDbm;
 
-        const CostModelCache::NetworkEntry *entry =
-            useCostCache_ ? costCache_.entry(network) : nullptr;
         net::TransferResult transfer = entry != nullptr
             ? link.transferBits(entry->txBits, entry->rxBits, rssi)
             : link.transfer(network.inputBytes(), network.outputBytes(),
                             rssi);
-        double remote_ms = remoteComputeMs(network, target.place,
-                                           target.proc, target.precision)
+        // Remote systems run at their top frequency with no on-device
+        // interference, so the table's unit-derate total at the top V/F
+        // step is the whole answer: one read instead of the per-layer
+        // roofline loop.
+        double remote_ms = (table != nullptr
+                                ? table->vf.back().totalMs
+                                : remoteComputeMs(network, target.place,
+                                                  target.proc,
+                                                  target.precision))
             * remoteSlowdown;
         if (rng != nullptr) {
             const double net_factor =

@@ -16,6 +16,7 @@
 #ifndef AUTOSCALE_SIM_SIMULATOR_H_
 #define AUTOSCALE_SIM_SIMULATOR_H_
 
+#include <array>
 #include <cstddef>
 #include <vector>
 
@@ -137,7 +138,8 @@ class InferenceSimulator {
      * co-processors cannot run recurrent/attention networks)
      * parameterized. Baselines precompute feasible-action subsets per
      * co-processor class with this and skip per-decision isFeasible
-     * calls entirely.
+     * calls entirely. With the cost cache on this is two table reads
+     * resolved at construction; the direct path evaluates it per call.
      */
     bool targetAvailable(const ExecutionTarget &target,
                          bool coProcessorsUsable) const;
@@ -248,10 +250,21 @@ class InferenceSimulator {
                                const PartitionSpec &spec,
                                const env::EnvState &env, Rng *rng) const;
 
-    /** Remote-side compute latency on the best processor at @p place. */
+    /** targetAvailable evaluated from the devices (the direct path). */
+    bool resolveTargetAvailable(const ExecutionTarget &target,
+                                bool coProcessorsUsable) const;
+
+    /**
+     * Remote-side compute latency of @p proc at @p place, at its top
+     * frequency, evaluated from the device (the direct path).
+     */
     double remoteComputeMs(const dnn::Network &network, TargetPlace place,
                            platform::ProcKind proc,
                            dnn::Precision precision) const;
+
+    static constexpr std::size_t kNumPlaces = 3;
+    static constexpr std::size_t kNumProcKinds = 7;
+    static constexpr std::size_t kNumPrecisions = 3;
 
     platform::Device local_;
     platform::Device connected_;
@@ -262,6 +275,20 @@ class InferenceSimulator {
     ObserverCounters counters_;
     CostModelCache costCache_;
     bool useCostCache_ = true;
+    /**
+     * resolveTargetAvailable at V/F step 0, resolved at construction per
+     * [coProcessorsUsable][place][kind][precision]. Only the V/F clause
+     * depends on the step, so with targetVfSteps_ this is the whole
+     * answer for every target.
+     */
+    std::array<std::array<std::array<std::array<bool, kNumPrecisions>,
+                                      kNumProcKinds>,
+                           kNumPlaces>,
+               2>
+        targetAvailable_{};
+    /** numVfSteps() of the processor per [place][kind]; 0 when absent. */
+    std::array<std::array<std::size_t, kNumProcKinds>, kNumPlaces>
+        targetVfSteps_{};
     /**
      * bestLocalTarget candidate lists, precomputed in processors() ×
      * precision order at top frequency: one for networks that may use

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <sstream>
 #include <string>
@@ -106,11 +107,21 @@ expectSameOutcome(const Outcome &a, const Outcome &b,
 const std::vector<dnn::Precision> kPrecisions = {
     dnn::Precision::FP32, dnn::Precision::FP16, dnn::Precision::INT8};
 
+const std::vector<platform::ProcKind> kAllProcKinds = {
+    platform::ProcKind::MobileCpu, platform::ProcKind::MobileGpu,
+    platform::ProcKind::MobileDsp, platform::ProcKind::MobileNpu,
+    platform::ProcKind::ServerCpu, platform::ProcKind::ServerGpu,
+    platform::ProcKind::ServerTpu};
+
 /**
- * Every (zoo network × device × place × processor × precision × V/F
- * step × derate-grid env) expected() outcome must agree bit-for-bit —
- * including the infeasible combinations, which both paths must mark
- * identically.
+ * Every (zoo network × device × place × processor kind × precision ×
+ * V/F step × derate-grid env) expected() outcome must agree
+ * bit-for-bit, and so must targetAvailable and isFeasible. The sweep
+ * covers every ProcKind at every place, whether or not the device has
+ * it, and V/F steps up to numVfSteps() inclusive (for an absent kind,
+ * up to the device's largest step count inclusive), so the "unavailable"
+ * entries of the construction-time availability table are compared
+ * with the per-call evaluation as well.
  */
 TEST(CostCacheParity, ExhaustiveExpectedSweep)
 {
@@ -125,33 +136,60 @@ TEST(CostCacheParity, ExhaustiveExpectedSweep)
             {TargetPlace::ConnectedEdge, pair.cached.connectedDevice()},
             {TargetPlace::Cloud, pair.cached.cloudDevice()},
         };
+        std::size_t unavailable = 0;
         for (const dnn::Network &net : dnn::modelZoo()) {
             for (const auto &entry : places) {
+                std::size_t maxSteps = 0;
                 for (const platform::Processor *proc :
                      entry.dev.processors()) {
+                    maxSteps = std::max(maxSteps, proc->numVfSteps());
+                }
+                for (const platform::ProcKind kind : kAllProcKinds) {
+                    const platform::Processor *proc =
+                        entry.dev.processor(kind);
+                    const std::size_t lastVf =
+                        proc != nullptr ? proc->numVfSteps() : maxSteps;
                     for (const dnn::Precision precision : kPrecisions) {
-                        for (std::size_t vf = 0; vf < proc->numVfSteps();
-                             ++vf) {
-                            const ExecutionTarget target{
-                                entry.place, proc->kind(), vf, precision};
+                        for (std::size_t vf = 0; vf <= lastVf; ++vf) {
+                            const ExecutionTarget target{entry.place, kind,
+                                                         vf, precision};
+                            std::ostringstream context;
+                            context << pair.cached.localDevice().name()
+                                    << " " << net.name() << " "
+                                    << targetPlaceName(entry.place) << " "
+                                    << platform::procKindName(kind) << " "
+                                    << dnn::precisionName(precision)
+                                    << " vf " << vf;
+                            for (const bool usable : {false, true}) {
+                                EXPECT_EQ(
+                                    pair.cached.targetAvailable(target,
+                                                                usable),
+                                    pair.direct.targetAvailable(target,
+                                                                usable))
+                                    << context.str() << " usable "
+                                    << usable;
+                            }
+                            const bool feasible =
+                                pair.cached.isFeasible(net, target);
+                            EXPECT_EQ(feasible,
+                                      pair.direct.isFeasible(net, target))
+                                << context.str();
+                            unavailable += feasible ? 0 : 1;
                             for (std::size_t e = 0; e < envs.size(); ++e) {
-                                std::ostringstream context;
-                                context << pair.cached.localDevice().name()
-                                        << " "
-                                        << net.name() << " "
-                                        << target.label() << " env#" << e;
                                 expectSameOutcome(
                                     pair.cached.expected(net, target,
                                                          envs[e]),
                                     pair.direct.expected(net, target,
                                                          envs[e]),
-                                    context.str());
+                                    context.str() + " env#"
+                                        + std::to_string(e));
                             }
                         }
                     }
                 }
             }
         }
+        EXPECT_GT(unavailable, 0u);
     }
 }
 
