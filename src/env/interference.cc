@@ -9,13 +9,6 @@ namespace autoscale::env {
 
 namespace {
 
-class IdleApp : public CoRunningApp {
-  public:
-    const char *name() const override { return "none"; }
-
-    InterferenceLoad next(Rng &) override { return {}; }
-};
-
 class SyntheticApp : public CoRunningApp {
   public:
     SyntheticApp(std::string name, double cpuUtil, double memUtil)
@@ -120,12 +113,6 @@ class VaryingApps : public CoRunningApp {
 };
 
 } // namespace
-
-std::unique_ptr<CoRunningApp>
-makeIdleApp()
-{
-    return std::make_unique<IdleApp>();
-}
 
 std::unique_ptr<CoRunningApp>
 makeSyntheticApp(std::string name, double cpuUtil, double memUtil)

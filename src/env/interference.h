@@ -42,9 +42,6 @@ class CoRunningApp {
     virtual InterferenceLoad next(Rng &rng) = 0;
 };
 
-/** No co-running app. */
-std::unique_ptr<CoRunningApp> makeIdleApp();
-
 /** Constant-pressure synthetic app (S2: cpu-heavy, S3: memory-heavy). */
 std::unique_ptr<CoRunningApp> makeSyntheticApp(std::string name,
                                                double cpuUtil,

@@ -1,15 +1,44 @@
 #include "env/scenario.h"
 
 #include <algorithm>
+#include <array>
 
+#include "net/rssi_process.h"
 #include "util/logging.h"
 
 namespace autoscale::env {
 
 namespace {
 
-constexpr double kRegularRssiDbm = -55.0;
-constexpr double kWeakRssiDbm = -85.0;
+/** One scenario's Wi-Fi (cloud) and Wi-Fi Direct (edge) signal. */
+struct LinkSignals {
+    net::RssiProcess wlan;
+    net::RssiProcess p2p;
+};
+
+constexpr net::RssiProcess kRegularRssi = net::RssiProcess::constant(-55.0);
+constexpr net::RssiProcess kWeakRssi = net::RssiProcess::constant(-85.0);
+/**
+ * D3's Gaussian Wi-Fi RSSI as in Section V-B; mean near the weak
+ * threshold so both regular and weak states occur.
+ */
+constexpr net::RssiProcess kRandomRssi =
+    net::RssiProcess::gaussian(-72.0, 9.0);
+
+/** Table IV's signals, indexed by ScenarioId (declaration order). */
+constexpr std::array<LinkSignals, 9> kLinkSignals = {{
+    {kRegularRssi, kRegularRssi}, // S1
+    {kRegularRssi, kRegularRssi}, // S2
+    {kRegularRssi, kRegularRssi}, // S3
+    {kWeakRssi, kRegularRssi},    // S4
+    {kRegularRssi, kWeakRssi},    // S5
+    {kRegularRssi, kRegularRssi}, // D1
+    {kRegularRssi, kRegularRssi}, // D2
+    {kRandomRssi, kRegularRssi},  // D3
+    {kRegularRssi, kRegularRssi}, // D4
+}};
+static_assert(kLinkSignals.size()
+              == static_cast<std::size_t>(ScenarioId::D4) + 1);
 
 } // namespace
 
@@ -94,13 +123,11 @@ Scenario::Scenario(ScenarioId id, const fault::FaultPlan &faults)
     if (faults.enabled()) {
         faults_ = std::make_unique<fault::FaultInjector>(faults);
     }
-    // Defaults: no co-runner, regular signal on both links.
-    app_ = makeIdleApp();
-    wlanRssi_ = std::make_unique<net::ConstantRssi>(kRegularRssiDbm);
-    p2pRssi_ = std::make_unique<net::ConstantRssi>(kRegularRssiDbm);
-
     switch (id_) {
       case ScenarioId::S1:
+      case ScenarioId::S4:
+      case ScenarioId::S5:
+      case ScenarioId::D3:
         break;
       case ScenarioId::S2:
         app_ = makeSyntheticApp("cpu hog", 0.85, 0.10);
@@ -108,22 +135,11 @@ Scenario::Scenario(ScenarioId id, const fault::FaultPlan &faults)
       case ScenarioId::S3:
         app_ = makeSyntheticApp("memory hog", 0.20, 0.80);
         break;
-      case ScenarioId::S4:
-        wlanRssi_ = std::make_unique<net::ConstantRssi>(kWeakRssiDbm);
-        break;
-      case ScenarioId::S5:
-        p2pRssi_ = std::make_unique<net::ConstantRssi>(kWeakRssiDbm);
-        break;
       case ScenarioId::D1:
         app_ = makeMusicPlayerApp();
         break;
       case ScenarioId::D2:
         app_ = makeWebBrowserApp();
-        break;
-      case ScenarioId::D3:
-        // Gaussian Wi-Fi RSSI as in Section V-B; mean near the weak
-        // threshold so both regular and weak states occur.
-        wlanRssi_ = std::make_unique<net::GaussianRssi>(-72.0, 9.0);
         break;
       case ScenarioId::D4:
         app_ = makeVaryingApps();
@@ -134,12 +150,16 @@ Scenario::Scenario(ScenarioId id, const fault::FaultPlan &faults)
 EnvState
 Scenario::next(Rng &rng)
 {
-    const InterferenceLoad load = app_->next(rng);
     EnvState state;
-    state.coCpuUtil = load.cpuUtil;
-    state.coMemUtil = load.memUtil;
-    state.rssiWlanDbm = wlanRssi_->sample(rng);
-    state.rssiP2pDbm = p2pRssi_->sample(rng);
+    if (app_ != nullptr) {
+        const InterferenceLoad load = app_->next(rng);
+        state.coCpuUtil = load.cpuUtil;
+        state.coMemUtil = load.memUtil;
+    }
+    const LinkSignals &signals =
+        kLinkSignals[static_cast<std::size_t>(id_)];
+    state.rssiWlanDbm = signals.wlan.sample(rng);
+    state.rssiP2pDbm = signals.p2p.sample(rng);
     // Sustained co-runner heat erodes the thermal headroom; a steady
     // CPU hog causes the frequent throttling observed in Fig. 5.
     state.thermalFactor =

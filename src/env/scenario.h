@@ -15,7 +15,6 @@
 #include "env/env_state.h"
 #include "env/interference.h"
 #include "fault/fault_injector.h"
-#include "net/rssi_process.h"
 #include "util/rng.h"
 
 namespace autoscale::env {
@@ -52,9 +51,12 @@ std::vector<ScenarioId> dynamicScenarios();
 std::vector<ScenarioId> allScenarios();
 
 /**
- * A Table IV environment: produces one EnvState per inference. Owns its
- * co-runner trace and RSSI processes; stateful for the dynamic
- * scenarios, so one instance should drive one experiment run.
+ * A Table IV environment: produces one EnvState per inference. The
+ * links' RSSI processes are plain values read from a constexpr table
+ * keyed by the scenario (only D3's Wi-Fi draws); the object owns only
+ * what keeps state: a co-runner (S2/S3, D1/D2/D4; null, drawing
+ * nothing, when there is none) and the fault injector. Stateful for the
+ * dynamic scenarios, so one instance should drive one experiment run.
  */
 class Scenario {
   public:
@@ -82,9 +84,8 @@ class Scenario {
 
   private:
     ScenarioId id_;
+    /** The co-runner; null when there is none (S1, S4, S5, D3). */
     std::unique_ptr<CoRunningApp> app_;
-    std::unique_ptr<net::RssiProcess> wlanRssi_;
-    std::unique_ptr<net::RssiProcess> p2pRssi_;
     std::unique_ptr<fault::FaultInjector> faults_;
 };
 

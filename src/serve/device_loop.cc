@@ -58,6 +58,20 @@ makeServeEvent(const baselines::SchedulingPolicy &policy,
     return event;
 }
 
+/** A standalone device's private plan and, when metering, its block. */
+std::unique_ptr<DeviceState::Owned>
+standaloneOwned(const sim::InferenceSimulator &sim,
+                const ServeConfig &config, const obs::ObsContext &obs)
+{
+    auto owned = std::make_unique<DeviceState::Owned>();
+    owned->plan = std::make_unique<DevicePlan>(makeDevicePlan(sim, config));
+    if (obs.metering()) {
+        owned->block = std::make_unique<CompactServeMetrics>();
+        owned->metrics = obs.metrics;
+    }
+    return owned;
+}
+
 } // namespace
 
 DevicePlan
@@ -106,20 +120,47 @@ makeDevicePlan(const sim::InferenceSimulator &sim,
     return plan;
 }
 
+/**
+ * The device seed's fan-out, in the fixed fork order of server.h. Every
+ * stream is forked for every device — including streams a warm-started
+ * fleet device never consumes (train) — so the fan-out is a pure
+ * function of the device seed.
+ */
+struct DeviceState::RngFanout {
+    explicit RngFanout(std::uint64_t seed)
+    {
+        Rng master(seed);
+        train = master.fork();
+        arrivalSeed = master.next();
+        env = master.fork();
+        decision = master.fork();
+        exec = master.fork();
+        workload = master.fork();
+        wlanSeed = master.next();
+        p2pSeed = master.next();
+        policySeed = master.next();
+    }
+
+    Rng train;
+    std::uint64_t arrivalSeed = 0;
+    Rng env;
+    Rng decision;
+    Rng exec;
+    Rng workload;
+    std::uint64_t wlanSeed = 0;
+    std::uint64_t p2pSeed = 0;
+    std::uint64_t policySeed = 0;
+};
+
 DeviceState::DeviceState(const sim::InferenceSimulator &sim_in,
                          const ServeConfig &config_in,
                          const obs::ObsContext &obs_in, int deviceId_in,
                          const core::AutoScaleScheduler *warmStart)
-    : planOwner(std::make_unique<DevicePlan>(
-          makeDevicePlan(sim_in, config_in))),
-      obs(obs_in), deviceId(deviceId_in)
+    : DeviceState(nullptr, standaloneOwned(sim_in, config_in, obs_in),
+                  obs_in, deviceId_in, RngFanout(config_in.seed),
+                  warmStart)
 {
-    plan = planOwner.get();
-    if (obs.metering()) {
-        ownedBlock = std::make_unique<CompactServeMetrics>();
-        block = ownedBlock.get();
-    }
-    init(config().seed, warmStart);
+    block = owned->block.get();
 }
 
 DeviceState::DeviceState(const DevicePlan &plan_in,
@@ -127,42 +168,35 @@ DeviceState::DeviceState(const DevicePlan &plan_in,
                          std::uint64_t seed,
                          const core::AutoScaleScheduler *warmStart,
                          sim::BatchDecisionEngine *)
-    : plan(&plan_in), obs(obs_in), deviceId(deviceId_in)
+    : DeviceState(&plan_in, nullptr, obs_in, deviceId_in, RngFanout(seed),
+                  warmStart)
 {
-    init(seed, warmStart);
 }
 
-DeviceState::~DeviceState() = default;
-DeviceState::DeviceState(DeviceState &&) = default;
-DeviceState &DeviceState::operator=(DeviceState &&) = default;
-
 /**
- * Construction tail shared by the standalone and fleet ctors. The
- * statement order replays the original runServe body exactly — the RNG
- * fan-out and every side effect happen in the same sequence, so a
- * full-run advance() is bit-identical to the pre-refactor loop.
+ * Construction shared by the standalone and fleet ctors. The fan-out
+ * is drawn before any member is built, and the body replays the
+ * original runServe statement order for the policy and its Q-table
+ * provenance, so a full-run advance() is bit-identical to the
+ * pre-refactor loop. `plan` is declared before `owned`, so it reads
+ * @p owned_in before the move.
  */
-void
-DeviceState::init(std::uint64_t seed,
-                  const core::AutoScaleScheduler *warmStart)
+DeviceState::DeviceState(const DevicePlan *plan_in,
+                         std::unique_ptr<Owned> owned_in,
+                         const obs::ObsContext &obs, int deviceId_in,
+                         const RngFanout &fanout,
+                         const core::AutoScaleScheduler *warmStart)
+    : plan(plan_in != nullptr ? plan_in : owned_in->plan.get()),
+      trace(obs.trace), deviceId(deviceId_in), envRng(fanout.env),
+      decisionRng(fanout.decision), execRng(fanout.exec),
+      workloadRng(fanout.workload),
+      arrivals(config().arrival, fanout.arrivalSeed),
+      queue(config().admission),
+      wlanBreaker(config().breaker, fanout.wlanSeed),
+      p2pBreaker(config().breaker, fanout.p2pSeed),
+      owned(std::move(owned_in)),
+      ewmaServiceMs(plan->nominalServiceMs)
 {
-    stats.breakerEnabled = config().breakerEnabled;
-
-    // --- Deterministic RNG fan-out (fixed fork order; see server.h).
-    // Every stream is forked for every device — including streams a
-    // warm-started fleet device never consumes (trainRng) — so the
-    // fan-out is a pure function of the device seed. ---
-    Rng master(seed);
-    Rng trainRng = master.fork();
-    const std::uint64_t arrivalSeed = master.next();
-    envRng = master.fork();
-    decisionRng = master.fork();
-    execRng = master.fork();
-    workloadRng = master.fork();
-    const std::uint64_t wlanSeed = master.next();
-    const std::uint64_t p2pSeed = master.next();
-    const std::uint64_t policySeed = master.next();
-
     // --- Policy. Fixed baselines run the same loop (useful to expose
     // the breaker and shedding machinery to remote-heavy traffic)
     // through the plan's one read-only instance; only the AutoScale
@@ -173,7 +207,7 @@ DeviceState::init(std::uint64_t seed,
         // A fleet peer warm-starts from device 0, which already trained
         // (or loaded) this table, instead of repeating the work N times.
         learner = harness::makeAutoScalePolicy(
-            sim(), policySeed, core::SchedulerConfig{}, warmStart);
+            sim(), fanout.policySeed, core::SchedulerConfig{}, warmStart);
         policy = learner.get();
     }
     if (learner == nullptr
@@ -186,19 +220,22 @@ DeviceState::init(std::uint64_t seed,
     // --- Q-table provenance: warm start (fleet peers, taken when the
     // policy was built above) > checkpoint > --qtable > pre-training. ---
     if (!config().checkpointPath.empty()) {
-        manager = std::make_unique<CheckpointManager>(
+        if (!owned) {
+            owned = std::make_unique<Owned>();
+        }
+        owned->manager = std::make_unique<CheckpointManager>(
             config().checkpointPath);
     }
     if (learner == nullptr || warmStart == nullptr) {
         bool restored = false;
         if (config().resume) {
-            if (!manager) {
+            if (!owned || !owned->manager) {
                 fatal("serve: --resume requires --checkpoint");
             }
             core::AutoScaleScheduler &scheduler = learner->scheduler();
-            const CheckpointLoadResult recovery = manager->load();
-            stats.corruptCheckpoints = recovery.corruptDetected;
-            stats.resumeSource = recovery.source;
+            const CheckpointLoadResult recovery = owned->manager->load();
+            owned->corruptCheckpoints = recovery.corruptDetected;
+            owned->resumeSource = recovery.source;
             if (recovery.loaded) {
                 if (recovery.data.fingerprint
                     != scheduler.actionFingerprint()) {
@@ -219,9 +256,8 @@ DeviceState::init(std::uint64_t seed,
                 // accelerates re-convergence toward the same steady
                 // state.
                 live = recovery.data.table;
-                startStep = recovery.data.step;
-                stats.resumed = true;
-                stats.resumeStep = recovery.data.step;
+                owned->resumed = true;
+                owned->resumeStep = recovery.data.step;
                 restored = true;
             }
         }
@@ -234,6 +270,7 @@ DeviceState::init(std::uint64_t seed,
                 }
                 learner->scheduler().loadQTable(in);
             } else if (config().trainRunsPerCombo > 0) {
+                Rng trainRng = fanout.train;
                 harness::trainPolicy(*learner, sim(), plan->networks,
                                      {config().scenario},
                                      config().trainRunsPerCombo, trainRng,
@@ -248,33 +285,34 @@ DeviceState::init(std::uint64_t seed,
         learner->setLearning(true);
     }
 
-    // --- Loop state. ---
     scenario.emplace(config().scenario, config().faults);
-    arrivals.emplace(config().arrival, arrivalSeed);
-    queue.emplace(config().admission);
-    wlanBreaker.emplace(config().breaker, wlanSeed);
-    p2pBreaker.emplace(config().breaker, p2pSeed);
+    pendingArrivalMs = arrivals.nextArrivalMs();
+}
 
-    clockMs = 0.0;
-    ewmaServiceMs = plan->nominalServiceMs;
-    pendingArrivalMs = arrivals->nextArrivalMs();
-    arrivalsDone = false;
+DeviceState::~DeviceState() = default;
+DeviceState::DeviceState(DeviceState &&) = default;
+DeviceState &DeviceState::operator=(DeviceState &&) = default;
+
+bool
+DeviceState::tracing() const
+{
+    return trace != nullptr && trace->enabled();
 }
 
 void
 DeviceState::checkpointNow()
 {
-    if (!manager) {
+    if (!owned || !owned->manager) {
         return;
     }
     core::AutoScaleScheduler &scheduler = learner->scheduler();
     std::string error;
-    if (!manager->save(scheduler.actionFingerprint(),
-                       startStep + stats.served,
-                       scheduler.agent().table(), &error)) {
+    if (!owned->manager->save(scheduler.actionFingerprint(),
+                              owned->resumeStep + counters.served,
+                              scheduler.agent().table(), &error)) {
         fatal("serve: checkpoint failed: " + error);
     }
-    stats.checkpointsWritten = manager->written();
+    counters.checkpointsWritten = owned->manager->written();
     if (block != nullptr) {
         block->recordCheckpoint();
     }
@@ -287,18 +325,18 @@ DeviceState::recordShed(const Workload &workload, ServeOutcomeId outcome,
     if (block != nullptr) {
         block->recordShed(outcome, depth);
     }
-    if (!obs.tracing()) {
+    if (!tracing()) {
         return;
     }
     obs::DecisionEvent event = makeServeEvent(
         *policy, workload, scenario->name(),
         kServeOutcomeNames[static_cast<std::size_t>(outcome)], depth,
-        stats.checkpointsWritten);
+        counters.checkpointsWritten);
     event.target = "(shed)";
     event.category = "(shed)";
     if (config().breakerEnabled) {
-        event.breakerWlan = breakerStateName(wlanBreaker->state());
-        event.breakerP2p = breakerStateName(p2pBreaker->state());
+        event.breakerWlan = breakerStateName(wlanBreaker.state());
+        event.breakerP2p = breakerStateName(p2pBreaker.state());
     }
     if (deviceId >= 0) {
         event.deviceId = deviceId;
@@ -310,7 +348,7 @@ DeviceState::recordShed(const Workload &workload, ServeOutcomeId outcome,
             event.edgeOutage = shared->edgeOutage;
         }
     }
-    obs.trace->record(std::move(event));
+    trace->record(std::move(event));
 }
 
 // Admit every arrival at or before the current virtual time.
@@ -323,30 +361,30 @@ DeviceState::admitUpTo(double nowMs)
             static_cast<int>(workloadRng.uniformInt(mix.size()));
         const Workload &workload = mix[index];
         const QueuedRequest request{
-            stats.arrivals, pendingArrivalMs,
+            counters.arrivals, pendingArrivalMs,
             pendingArrivalMs + workload.request.qosMs, index};
-        ++stats.arrivals;
-        const AdmissionVerdict verdict = queue->offer(
+        ++counters.arrivals;
+        const AdmissionVerdict verdict = queue.offer(
             request, nowMs, ewmaServiceMs, workload.minServiceMs);
         switch (verdict) {
         case AdmissionVerdict::Admitted:
-            ++stats.admitted;
+            ++counters.admitted;
             break;
         case AdmissionVerdict::ShedOverflow:
-            ++stats.shedOverflow;
+            ++counters.shedOverflow;
             recordShed(workload, shedOutcomeId(verdict),
-                       static_cast<int>(queue->depth()));
+                       static_cast<int>(queue.depth()));
             break;
         case AdmissionVerdict::ShedDeadline:
-            ++stats.shedDeadline;
+            ++counters.shedDeadline;
             recordShed(workload, shedOutcomeId(verdict),
-                       static_cast<int>(queue->depth()));
+                       static_cast<int>(queue.depth()));
             break;
         }
-        if (arrivals->count() >= config().totalRequests) {
+        if (arrivals.count() >= config().totalRequests) {
             arrivalsDone = true;
         } else {
-            pendingArrivalMs = arrivals->nextArrivalMs();
+            pendingArrivalMs = arrivals.nextArrivalMs();
         }
     }
 }
@@ -362,7 +400,7 @@ DeviceState::commitRequest(const QueuedRequest &queued, int degradeLevel,
     // Stale re-check: the admission estimate may have aged badly
     // (a burst of slow services after this request was admitted).
     if (clockMs + workload.minServiceMs > queued.deadlineMs) {
-        ++stats.shedStale;
+        ++counters.shedStale;
         recordShed(workload, kShedStale, depthAtDequeue);
         return;
     }
@@ -394,7 +432,7 @@ DeviceState::commitRequest(const QueuedRequest &queued, int degradeLevel,
     if (degradeLevel > 0 && remoteDecision) {
         decision = baselines::makeTargetDecision(bestLocal());
         degraded = true;
-        ++stats.degraded;
+        ++counters.degraded;
     }
 
     // Circuit-breaker gate on the remote place the decision needs.
@@ -407,7 +445,7 @@ DeviceState::commitRequest(const QueuedRequest &queued, int degradeLevel,
         const sim::TargetPlace place = decision.partitioned
             ? decision.partition.remotePlace : decision.target.place;
         breaker = place == sim::TargetPlace::Cloud
-            ? &*wlanBreaker : &*p2pBreaker;
+            ? &wlanBreaker : &p2pBreaker;
         if (!breaker->allowAttempt(clockMs)) {
             // Open breaker: skip the doomed remote attempt (and its
             // timeout+retry energy) entirely.
@@ -498,25 +536,25 @@ DeviceState::commitRequest(const QueuedRequest &queued, int degradeLevel,
     // reservation at its first served request means the buffer never
     // regrows (DESIGN.md §14). Reserving at construction instead would
     // put the allocation on the serial set-up path of a fleet.
-    if (stats.latenciesMs.capacity() == 0) {
-        stats.latenciesMs.reserve(
+    if (counters.latenciesMs.capacity() == 0) {
+        counters.latenciesMs.reserve(
             static_cast<std::size_t>(config().totalRequests));
     }
-    ++stats.served;
-    stats.totalWaitMs += waitMs;
-    stats.totalServiceMs += serviceMs;
-    stats.latenciesMs.push_back(latencyMs);
-    stats.energyJ += measured.energyJ;
-    stats.wastedEnergyJ += faultResult.wastedEnergyJ;
+    ++counters.served;
+    counters.totalWaitMs += waitMs;
+    counters.totalServiceMs += serviceMs;
+    counters.latenciesMs.push_back(latencyMs);
+    counters.energyJ += measured.energyJ;
+    counters.wastedEnergyJ += faultResult.wastedEnergyJ;
     if (faultResult.fellBack) {
-        ++stats.faultFallbacks;
+        ++counters.faultFallbacks;
     }
     if (qosViolated) {
-        ++stats.qosViolations;
+        ++counters.qosViolations;
     }
     if (!faultResult.outcome.feasible
         || measured.accuracyPct < workload.request.accuracyTargetPct) {
-        ++stats.accuracyViolations;
+        ++counters.accuracyViolations;
     }
     ++categoryTally[static_cast<std::size_t>(decision.categoryId())];
     ewmaServiceMs = (1.0 - kServiceEwmaAlpha) * ewmaServiceMs
@@ -528,10 +566,10 @@ DeviceState::commitRequest(const QueuedRequest &queued, int degradeLevel,
             faultResult.fellBack, waitMs, latencyMs,
             measured.energyJ * 1e3, depthAtDequeue);
     }
-    if (obs.tracing()) {
+    if (tracing()) {
         obs::DecisionEvent event = makeServeEvent(
             *policy, workload, scenario->name(), "served", depthAtDequeue,
-            stats.checkpointsWritten);
+            counters.checkpointsWritten);
         event.coCpuUtil = env.coCpuUtil;
         event.coMemUtil = env.coMemUtil;
         event.rssiWlanDbm = env.rssiWlanDbm;
@@ -559,8 +597,8 @@ DeviceState::commitRequest(const QueuedRequest &queued, int degradeLevel,
         event.degradeLevel = degraded ? degradeLevel : 0;
         event.breakerShortCircuit = shortCircuited;
         if (config().breakerEnabled) {
-            event.breakerWlan = breakerStateName(wlanBreaker->state());
-            event.breakerP2p = breakerStateName(p2pBreaker->state());
+            event.breakerWlan = breakerStateName(wlanBreaker.state());
+            event.breakerP2p = breakerStateName(p2pBreaker.state());
         }
         if (deviceId >= 0) {
             event.deviceId = deviceId;
@@ -574,12 +612,12 @@ DeviceState::commitRequest(const QueuedRequest &queued, int degradeLevel,
             }
         }
         policy->describeLastDecision(event);
-        obs.trace->record(std::move(event));
+        trace->record(std::move(event));
     }
 
     clockMs = finishMs;
-    if (manager && config().checkpointIntervalRequests > 0
-        && stats.served % config().checkpointIntervalRequests == 0) {
+    if (owned && owned->manager && config().checkpointIntervalRequests > 0
+        && counters.served % config().checkpointIntervalRequests == 0) {
         checkpointNow();
     }
 }
@@ -592,7 +630,7 @@ DeviceState::advance(double untilMs)
 {
     while (!loopDone && clockMs < untilMs) {
         admitUpTo(clockMs);
-        if (queue->empty()) {
+        if (queue.empty()) {
             if (arrivalsDone) {
                 loopDone = true;
                 break;
@@ -605,9 +643,9 @@ DeviceState::advance(double untilMs)
             clockMs = std::max(clockMs, pendingArrivalMs);
             continue;
         }
-        const int degradeLevel = queue->degradeLevel();
-        const QueuedRequest queued = queue->pop();
-        const int depthAtDequeue = static_cast<int>(queue->depth()) + 1;
+        const int degradeLevel = queue.degradeLevel();
+        const QueuedRequest queued = queue.pop();
+        const int depthAtDequeue = static_cast<int>(queue.depth()) + 1;
         commitRequest(queued, degradeLevel, depthAtDequeue);
     }
 }
@@ -621,13 +659,13 @@ DeviceState::discardQueue(std::int64_t atEpoch)
 {
     epoch = atEpoch;
     std::int64_t dropped = 0;
-    while (!queue->empty()) {
-        const QueuedRequest queued = queue->pop();
+    while (!queue.empty()) {
+        const QueuedRequest queued = queue.pop();
         ++dropped;
-        ++stats.shedChurn;
+        ++counters.shedChurn;
         recordShed(plan->workloads[
                        static_cast<std::size_t>(queued.networkIndex)],
-                   kShedChurn, static_cast<int>(queue->depth()));
+                   kShedChurn, static_cast<int>(queue.depth()));
     }
     return dropped;
 }
@@ -649,19 +687,19 @@ DeviceState::advanceOffline(double untilMs, std::int64_t atEpoch)
     while (!arrivalsDone && pendingArrivalMs < untilMs) {
         const int index =
             static_cast<int>(workloadRng.uniformInt(mix.size()));
-        ++stats.arrivals;
-        ++stats.shedChurn;
+        ++counters.arrivals;
+        ++counters.shedChurn;
         ++lost;
         recordShed(mix[static_cast<std::size_t>(index)], kShedChurn,
-                   static_cast<int>(queue->depth()));
-        if (arrivals->count() >= config().totalRequests) {
+                   static_cast<int>(queue.depth()));
+        if (arrivals.count() >= config().totalRequests) {
             arrivalsDone = true;
         } else {
-            pendingArrivalMs = arrivals->nextArrivalMs();
+            pendingArrivalMs = arrivals.nextArrivalMs();
         }
     }
     clockMs = std::max(clockMs, untilMs);
-    if (arrivalsDone && queue->empty()) {
+    if (arrivalsDone && queue.empty()) {
         loopDone = true;
     }
     return lost;
@@ -672,6 +710,31 @@ DeviceState::finish()
 {
     AS_CHECK(!finished);
     finished = true;
+
+    ServeStats stats;
+    stats.arrivals = counters.arrivals;
+    stats.admitted = counters.admitted;
+    stats.served = counters.served;
+    stats.degraded = counters.degraded;
+    stats.shedDeadline = counters.shedDeadline;
+    stats.shedOverflow = counters.shedOverflow;
+    stats.shedStale = counters.shedStale;
+    stats.shedChurn = counters.shedChurn;
+    stats.qosViolations = counters.qosViolations;
+    stats.accuracyViolations = counters.accuracyViolations;
+    stats.faultFallbacks = counters.faultFallbacks;
+    stats.energyJ = counters.energyJ;
+    stats.wastedEnergyJ = counters.wastedEnergyJ;
+    stats.totalWaitMs = counters.totalWaitMs;
+    stats.totalServiceMs = counters.totalServiceMs;
+    stats.latenciesMs = std::move(counters.latenciesMs);
+    stats.breakerEnabled = config().breakerEnabled;
+    if (owned) {
+        stats.resumed = owned->resumed;
+        stats.resumeSource = owned->resumeSource;
+        stats.resumeStep = owned->resumeStep;
+        stats.corruptCheckpoints = owned->corruptCheckpoints;
+    }
 
     // Fold the dense category tally into the report's name-keyed map.
     // Zero-count categories are skipped: the map only holds categories
@@ -698,13 +761,14 @@ DeviceState::finish()
     stats.rngFingerprint = fingerprint;
 
     policy->finishEpisode();
-    wlanBreaker->finalize(clockMs);
-    p2pBreaker->finalize(clockMs);
+    wlanBreaker.finalize(clockMs);
+    p2pBreaker.finalize(clockMs);
     checkpointNow();
+    stats.checkpointsWritten = counters.checkpointsWritten;
 
-    stats.maxQueueDepth = queue->maxDepthSeen();
-    stats.wlanBreaker = wlanBreaker->stats();
-    stats.p2pBreaker = p2pBreaker->stats();
+    stats.maxQueueDepth = queue.maxDepthSeen();
+    stats.wlanBreaker = wlanBreaker.stats();
+    stats.p2pBreaker = p2pBreaker.stats();
     stats.breakerShortCircuits =
         stats.wlanBreaker.shortCircuits + stats.p2pBreaker.shortCircuits;
     stats.endClockMs = clockMs;
@@ -717,10 +781,10 @@ DeviceState::finish()
             static_cast<double>(stats.maxQueueDepth),
             stats.wlanBreaker.totalOpenMs + stats.p2pBreaker.totalOpenMs);
     }
-    if (ownedBlock) {
-        ownedBlock->flush(*obs.metrics);
+    if (owned && owned->block) {
+        owned->block->flush(*owned->metrics);
     }
-    return std::move(stats);
+    return stats;
 }
 
 DeviceLoop::DeviceLoop(const sim::InferenceSimulator &sim,
@@ -794,7 +858,7 @@ DeviceLoop::finish()
 std::size_t
 DeviceLoop::queueDepth() const
 {
-    return state_->queue->depth();
+    return state_->queue.depth();
 }
 
 std::uint64_t
@@ -818,17 +882,17 @@ DeviceLoop::stateDigest() const
     std::uint64_t digest = 0;
     digest = foldDouble(digest, state.clockMs);
     digest = foldDouble(digest, state.pendingArrivalMs);
-    digest = fold(digest, static_cast<std::uint64_t>(state.stats.arrivals));
-    digest = fold(digest, static_cast<std::uint64_t>(state.stats.admitted));
-    digest = fold(digest, static_cast<std::uint64_t>(state.stats.served));
+    digest = fold(digest, static_cast<std::uint64_t>(state.counters.arrivals));
+    digest = fold(digest, static_cast<std::uint64_t>(state.counters.admitted));
+    digest = fold(digest, static_cast<std::uint64_t>(state.counters.served));
     digest = fold(digest,
-                  static_cast<std::uint64_t>(state.stats.shedDeadline
-                                             + state.stats.shedOverflow
-                                             + state.stats.shedStale));
+                  static_cast<std::uint64_t>(state.counters.shedDeadline
+                                             + state.counters.shedOverflow
+                                             + state.counters.shedStale));
     digest =
-        fold(digest, static_cast<std::uint64_t>(state.stats.shedChurn));
-    digest = foldDouble(digest, state.stats.energyJ);
-    digest = fold(digest, state.queue->depth());
+        fold(digest, static_cast<std::uint64_t>(state.counters.shedChurn));
+    digest = foldDouble(digest, state.counters.energyJ);
+    digest = fold(digest, state.queue.depth());
     digest = fold(digest, state.loopDone ? 1 : 0);
     return digest;
 }

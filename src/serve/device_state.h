@@ -14,15 +14,21 @@
  *    admission floors, the nominal service time, and a fixed-policy
  *    run's one policy instance. A fleet builds
  *    one plan and every device points at it; a standalone device owns
- *    a private plan (`planOwner`), keeping single-device semantics
- *    unchanged.
+ *    a private plan (`DeviceState::Owned`), keeping single-device
+ *    semantics unchanged.
  *
  *  - `DeviceState` — the per-device mutable replay state, laid out as
  *    a flat movable struct so a fleet can hold `std::vector<DeviceState>`
  *    (one contiguous table fill, no per-device pimpl allocation).
  *    Everything a device's trajectory depends on lives here: the
  *    virtual clock, the RNG streams, the admission ring, breaker
- *    states, counters, and the AutoScale learner.
+ *    states, the per-request counters, and the AutoScale learner. It
+ *    holds only what serving a request touches: finish() builds the
+ *    ServeStats report, and what only a standalone or checkpointing
+ *    device has (its plan, metrics block, checkpoint manager and
+ *    resume provenance) sits behind one pointer, null for the rest of
+ *    a fleet. A fixed-policy fleet device allocates nothing at
+ *    construction.
  *
  * `DeviceLoop` (device_loop.h) remains the only mutation API — it is
  * now a thin view over one `DeviceState` — so the shards/jobs, churn,
@@ -124,12 +130,57 @@ DevicePlan makeDevicePlan(const sim::InferenceSimulator &sim,
                           const ServeConfig &config);
 
 /**
+ * The per-request counters and sums of one serving run: the ServeStats
+ * fields the loop writes while it serves. DeviceState::finish() copies
+ * them into the report next to the fields it derives at the end.
+ */
+struct RunCounters {
+    std::int64_t arrivals = 0;
+    std::int64_t admitted = 0;
+    std::int64_t served = 0;
+    std::int64_t degraded = 0;
+    std::int64_t shedDeadline = 0;
+    std::int64_t shedOverflow = 0;
+    std::int64_t shedStale = 0;
+    std::int64_t shedChurn = 0;
+    std::int64_t qosViolations = 0;
+    std::int64_t accuracyViolations = 0;
+    std::int64_t faultFallbacks = 0;
+    std::int64_t checkpointsWritten = 0;
+    double energyJ = 0.0;
+    double wastedEnergyJ = 0.0;
+    double totalWaitMs = 0.0;
+    double totalServiceMs = 0.0;
+    std::vector<double> latenciesMs;
+};
+
+/**
  * One device's complete mutable serving state — the former
  * `DeviceLoop::Impl`, flattened so fleets can store devices in one
  * contiguous array. Members are public: this is an internal
  * serve-layer type; `DeviceLoop` is the public mutation API.
  */
 struct DeviceState {
+    /**
+     * What only a standalone or checkpointing device has, behind one
+     * pointer so a fleet device without it pays 8 bytes.
+     */
+    struct Owned {
+        /** A standalone device's private plan. */
+        std::unique_ptr<DevicePlan> plan;
+        /** A standalone device's metrics block, flushed into `metrics`
+         * at the end of finish(). */
+        std::unique_ptr<CompactServeMetrics> block;
+        obs::MetricsRegistry *metrics = nullptr;
+        std::unique_ptr<CheckpointManager> manager;
+        /** Provenance of a --resume; resumeStep (0 on a cold start)
+         * also offsets the checkpointed step counter. */
+        bool resumed = false;
+        CheckpointSource resumeSource = CheckpointSource::None;
+        std::int64_t resumeStep = 0;
+        int corruptCheckpoints = 0;
+    };
+
     /**
      * Standalone device: builds and owns a private plan from
      * @p config (workload mix, floors), seeds from config.seed, and
@@ -178,14 +229,13 @@ struct DeviceState {
     void checkpointNow();
     ServeStats finish();
 
-    /** Shared immutable plan (owned for standalone devices). */
+    /** Shared immutable plan (a standalone device's is in `owned`). */
     const DevicePlan *plan = nullptr;
-    std::unique_ptr<DevicePlan> planOwner;
-
-    obs::ObsContext obs;
+    /** Decision-event sink; null when the device is not traced. */
+    obs::TraceRecorder *trace = nullptr;
     int deviceId = -1;
 
-    ServeStats stats;
+    RunCounters counters;
 
     Rng envRng;
     Rng decisionRng;
@@ -196,25 +246,24 @@ struct DeviceState {
     baselines::SchedulingPolicy *policy = nullptr;
     /** This device's own AutoScale learner; null for fixed policies. */
     std::unique_ptr<harness::AutoScalePolicy> learner;
-    std::unique_ptr<CheckpointManager> manager;
-    std::int64_t startStep = 0;
 
     std::optional<env::Scenario> scenario;
     /** The arrival process and breakers read their settings through
      * the plan (config().arrival, config().breaker), never a copy. */
-    std::optional<ArrivalProcess> arrivals;
-    std::optional<AdmissionQueue> queue;
-    std::optional<CircuitBreaker> wlanBreaker;
-    std::optional<CircuitBreaker> p2pBreaker;
+    ArrivalProcess arrivals;
+    AdmissionQueue queue;
+    CircuitBreaker wlanBreaker;
+    CircuitBreaker p2pBreaker;
 
     /**
      * This device's metrics recorder; null when metering is off. A
-     * standalone device owns it (ownedBlock) and flushes it at the end
-     * of finish(); a fleet pools one per device and flushes them in
-     * device-index order.
+     * standalone device owns it (Owned::block) and flushes it at the
+     * end of finish(); a fleet pools one per device and flushes them
+     * in device-index order.
      */
     CompactServeMetrics *block = nullptr;
-    std::unique_ptr<CompactServeMetrics> ownedBlock;
+    /** Null for a fleet device that does no checkpointing. */
+    std::unique_ptr<Owned> owned;
 
     double clockMs = 0.0;
     double ewmaServiceMs = 0.0;
@@ -233,10 +282,22 @@ struct DeviceState {
     EpochUsage usage;
 
   private:
-    /** Shared construction tail: RNG fan-out, policy, provenance,
-     * loop state — the original runServe statement order, verbatim. */
-    void init(std::uint64_t seed,
-              const core::AutoScaleScheduler *warmStart);
+    /** The device seed's fan-out into its streams and seeds. */
+    struct RngFanout;
+
+    /**
+     * Shared construction: @p plan_in is the fleet's plan, or null
+     * for the one in @p owned_in; the streams and seeded members come
+     * from @p fanout, then the body sets up the policy and its
+     * Q-table provenance.
+     */
+    DeviceState(const DevicePlan *plan_in, std::unique_ptr<Owned> owned_in,
+                const obs::ObsContext &obs, int deviceId_in,
+                const RngFanout &fanout,
+                const core::AutoScaleScheduler *warmStart);
+
+    /** Whether decision events are built and recorded. */
+    bool tracing() const;
 };
 
 } // namespace autoscale::serve

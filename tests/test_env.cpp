@@ -17,17 +17,6 @@
 namespace autoscale::env {
 namespace {
 
-TEST(Interference, IdleAppIsQuiet)
-{
-    auto app = makeIdleApp();
-    Rng rng(1);
-    for (int i = 0; i < 10; ++i) {
-        const InterferenceLoad load = app->next(rng);
-        EXPECT_DOUBLE_EQ(load.cpuUtil, 0.0);
-        EXPECT_DOUBLE_EQ(load.memUtil, 0.0);
-    }
-}
-
 TEST(Interference, SyntheticAppHoldsItsLevel)
 {
     auto app = makeSyntheticApp("hog", 0.85, 0.10);
@@ -286,13 +275,19 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Scenario, S1HasNoVariance)
 {
+    // No co-runner and constant signals: every sample is the same, and
+    // none consumes a draw.
     Scenario scenario(ScenarioId::S1);
     Rng rng(11);
-    const EnvState env = scenario.next(rng);
-    EXPECT_DOUBLE_EQ(env.coCpuUtil, 0.0);
-    EXPECT_DOUBLE_EQ(env.coMemUtil, 0.0);
-    EXPECT_GT(env.rssiWlanDbm, -80.0);
-    EXPECT_GT(env.rssiP2pDbm, -80.0);
+    for (int i = 0; i < 10; ++i) {
+        const EnvState env = scenario.next(rng);
+        EXPECT_DOUBLE_EQ(env.coCpuUtil, 0.0);
+        EXPECT_DOUBLE_EQ(env.coMemUtil, 0.0);
+        EXPECT_GT(env.rssiWlanDbm, -80.0);
+        EXPECT_GT(env.rssiP2pDbm, -80.0);
+    }
+    Rng untouched(11);
+    EXPECT_EQ(rng.next(), untouched.next());
 }
 
 TEST(Scenario, S2IsCpuHeavyS3IsMemoryHeavy)

@@ -147,7 +147,7 @@ TEST(WirelessLink, KindNames)
 
 TEST(RssiProcess, ConstantReturnsFixedValue)
 {
-    ConstantRssi rssi(-77.5);
+    const RssiProcess rssi = RssiProcess::constant(-77.5);
     Rng rng(1);
     for (int i = 0; i < 10; ++i) {
         EXPECT_DOUBLE_EQ(rssi.sample(rng), -77.5);
@@ -157,7 +157,7 @@ TEST(RssiProcess, ConstantReturnsFixedValue)
 TEST(RssiProcess, GaussianMomentsAndClamp)
 {
     // Section V-B: signal strength variance is modeled by a Gaussian.
-    GaussianRssi rssi(-70.0, 8.0, -95.0, -40.0);
+    const RssiProcess rssi = RssiProcess::gaussian(-70.0, 8.0, -95.0, -40.0);
     Rng rng(3);
     OnlineStats stats;
     for (int i = 0; i < 50000; ++i) {
@@ -173,7 +173,7 @@ TEST(RssiProcess, GaussianMomentsAndClamp)
 TEST(RssiProcess, GaussianProducesBothWeakAndRegularStates)
 {
     // D3 must exercise both S_RSSI_W bins.
-    GaussianRssi rssi(-78.0, 8.0);
+    const RssiProcess rssi = RssiProcess::gaussian(-78.0, 8.0);
     Rng rng(5);
     int weak = 0;
     int regular = 0;
