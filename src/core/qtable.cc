@@ -9,6 +9,7 @@
 #include <istream>
 #include <locale>
 #include <ostream>
+#include <utility>
 
 #include "util/logging.h"
 
@@ -174,9 +175,15 @@ QTable::save(std::ostream &os) const
     os.imbue(previous);
 }
 
-QTable
-QTable::load(std::istream &is)
+bool
+QTable::parse(std::istream &is, QTable *out, std::string *error)
 {
+    auto fail = [error](const std::string &message) {
+        if (error != nullptr) {
+            *error = message;
+        }
+        return false;
+    };
     // The stream is untrusted (a user-supplied --qtable file or a
     // checkpoint that survived a crash): validate the header before
     // sizing any allocation and every value before trusting it. Parsing
@@ -186,15 +193,14 @@ QTable::load(std::istream &is)
     long long states = 0;
     long long actions = 0;
     if (!(is >> states >> actions) || states <= 0 || actions <= 0) {
-        fatal("QTable::load: malformed header");
+        return fail("malformed header");
     }
     constexpr long long kMaxElements = 1LL << 26; // 64M floats = 256 MiB
     if (states > kMaxElements || actions > kMaxElements
         || states * actions > kMaxElements) {
-        fatal("QTable::load: absurd header (" + std::to_string(states)
-              + " x " + std::to_string(actions)
-              + " exceeds the " + std::to_string(kMaxElements)
-              + "-entry limit)");
+        return fail("absurd header (" + std::to_string(states) + " x "
+                    + std::to_string(actions) + " exceeds the "
+                    + std::to_string(kMaxElements) + "-entry limit)");
     }
     QTable table(static_cast<int>(states), static_cast<int>(actions));
     // Values are parsed as tokens through strtof (operator>> never
@@ -203,22 +209,34 @@ QTable::load(std::istream &is)
     for (int s = 0; s < states; ++s) {
         for (int a = 0; a < actions; ++a) {
             if (!(is >> token)) {
-                fatal("QTable::load: truncated values");
+                return fail("truncated values");
             }
             char *end = nullptr;
             const float value = std::strtof(token.c_str(), &end);
             if (end == token.c_str() || *end != '\0') {
-                fatal("QTable::load: unparseable value '" + token
-                      + "' at state " + std::to_string(s) + ", action "
-                      + std::to_string(a));
+                return fail("unparseable value '" + token + "' at state "
+                            + std::to_string(s) + ", action "
+                            + std::to_string(a));
             }
             if (!std::isfinite(value)) {
-                fatal("QTable::load: non-finite value at state "
-                      + std::to_string(s) + ", action "
-                      + std::to_string(a));
+                return fail("non-finite value at state "
+                            + std::to_string(s) + ", action "
+                            + std::to_string(a));
             }
             table.at(s, a) = value;
         }
+    }
+    *out = std::move(table);
+    return true;
+}
+
+QTable
+QTable::load(std::istream &is)
+{
+    QTable table(1, 1);
+    std::string error;
+    if (!parse(is, &table, &error)) {
+        fatal("QTable::load: " + error);
     }
     return table;
 }

@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/sparse_rows.h"
@@ -174,7 +175,16 @@ class QTable {
     /** Serialize as text (dimensions then row-major values). */
     void save(std::ostream &os) const;
 
-    /** Deserialize from text; fatal() on malformed input. */
+    /**
+     * Deserialize save() text into @p out. The text is untrusted, so
+     * nothing is sized before the header passes the 2^26-entry guard
+     * and every value must parse whole and be finite. Reads in the
+     * classic "C" locale whatever the global one is. Returns false
+     * with @p error set (when non-null) instead of fatal()ing.
+     */
+    static bool parse(std::istream &is, QTable *out, std::string *error);
+
+    /** parse(), but fatal() on malformed input. */
     static QTable load(std::istream &is);
 
   private:

@@ -1,9 +1,8 @@
 #include "serve/checkpoint.h"
 
-#include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
+#include <locale>
 #include <utility>
 
 #include "util/atomic_file.h"
@@ -16,17 +15,6 @@ namespace {
 
 constexpr const char *kMagic = "autoscale-checkpoint";
 constexpr const char *kVersion = "v1";
-// Same guard as QTable::load: a checkpoint header must not be able to
-// request a multi-gigabyte allocation before validation finishes.
-constexpr long long kMaxElements = 1LL << 26;
-
-void
-setError(std::string *error, const std::string &message)
-{
-    if (error != nullptr) {
-        *error = message;
-    }
-}
 
 bool
 readFile(const std::string &path, std::string *out)
@@ -44,13 +32,11 @@ readFile(const std::string &path, std::string *out)
 } // namespace
 
 std::string
-encodeCheckpoint(const std::string &fingerprint, std::int64_t step,
-                 const core::QTable &table)
+sealCheckpoint(const std::function<void(std::ostream &)> &writeBody)
 {
     std::ostringstream body;
-    body << kMagic << ' ' << kVersion << ' ' << fingerprint << ' ' << step
-         << '\n';
-    table.save(body);
+    body.imbue(std::locale::classic());
+    writeBody(body);
     std::string bytes = body.str();
 
     char footer[32];
@@ -61,92 +47,99 @@ encodeCheckpoint(const std::string &fingerprint, std::int64_t step,
 }
 
 bool
-decodeCheckpoint(const std::string &bytes, CheckpointData *out,
-                 std::string *error)
+openCheckpoint(const std::string &bytes, const char *kind,
+               std::istringstream *body, std::string *error)
 {
+    std::string ignored;
+    if (error == nullptr) {
+        error = &ignored;
+    }
     // The footer is the last non-empty line; everything before it is
     // covered by the CRC. Checking the CRC first subsumes most
     // truncation/corruption cases with one comparison.
     if (bytes.empty()) {
-        setError(error, "empty checkpoint");
+        *error = std::string("empty ") + kind;
         return false;
     }
     // A file that does not end in a newline lost its tail mid-write.
     if (bytes.back() != '\n') {
-        setError(error, "truncated checkpoint (no final newline)");
+        *error = std::string("truncated ") + kind + " (no final newline)";
         return false;
     }
-    const std::size_t footer_start = bytes.rfind("crc32 ");
-    if (footer_start == std::string::npos
-        || (footer_start != 0 && bytes[footer_start - 1] != '\n')) {
-        setError(error, "missing crc32 footer (truncated checkpoint?)");
+    const std::size_t footerStart = bytes.rfind("crc32 ");
+    if (footerStart == std::string::npos
+        || (footerStart != 0 && bytes[footerStart - 1] != '\n')) {
+        *error = std::string("missing crc32 footer (truncated ") + kind
+            + "?)";
         return false;
     }
-    unsigned long stored_crc = 0;
+    unsigned long storedCrc = 0;
     {
-        std::istringstream footer(bytes.substr(footer_start + 6));
-        if (!(footer >> std::hex >> stored_crc)) {
-            setError(error, "unparseable crc32 footer");
+        std::istringstream footer(bytes.substr(footerStart + 6));
+        footer.imbue(std::locale::classic());
+        if (!(footer >> std::hex >> storedCrc)) {
+            *error = "unparseable crc32 footer";
             return false;
         }
     }
-    const std::uint32_t actual_crc = crc32(bytes.data(), footer_start);
-    if (actual_crc != static_cast<std::uint32_t>(stored_crc)) {
+    const std::uint32_t actualCrc = crc32(bytes.data(), footerStart);
+    if (actualCrc != static_cast<std::uint32_t>(storedCrc)) {
         char message[96];
         std::snprintf(message, sizeof(message),
                       "crc32 mismatch (stored %08lx, computed %08x)",
-                      stored_crc, actual_crc);
-        setError(error, message);
+                      storedCrc, actualCrc);
+        *error = message;
         return false;
     }
+    body->imbue(std::locale::classic());
+    body->str(bytes.substr(0, footerStart));
+    return true;
+}
 
-    std::istringstream is(bytes.substr(0, footer_start));
+std::string
+encodeCheckpoint(const std::string &fingerprint, std::int64_t step,
+                 const core::QTable &table)
+{
+    return sealCheckpoint([&](std::ostream &body) {
+        body << kMagic << ' ' << kVersion << ' ' << fingerprint << ' '
+             << step << '\n';
+        table.save(body);
+    });
+}
+
+bool
+decodeCheckpoint(const std::string &bytes, CheckpointData *out,
+                 std::string *error)
+{
+    std::string ignored;
+    if (error == nullptr) {
+        error = &ignored;
+    }
+    std::istringstream is;
+    if (!openCheckpoint(bytes, "checkpoint", &is, error)) {
+        return false;
+    }
     std::string magic;
     std::string version;
-    std::string fingerprint;
-    std::int64_t step = 0;
-    if (!(is >> magic >> version >> fingerprint >> step)) {
-        setError(error, "malformed checkpoint header");
+    CheckpointData data;
+    if (!(is >> magic >> version >> data.fingerprint >> data.step)) {
+        *error = "malformed checkpoint header";
         return false;
     }
     if (magic != kMagic || version != kVersion) {
-        setError(error, "not an " + std::string(kMagic) + " "
-                            + kVersion + " file");
+        *error = "not an " + std::string(kMagic) + " " + kVersion + " file";
         return false;
     }
-    if (step < 0) {
-        setError(error, "negative step in checkpoint header");
+    if (data.step < 0) {
+        *error = "negative step in checkpoint header";
         return false;
     }
-
-    long long states = 0;
-    long long actions = 0;
-    if (!(is >> states >> actions) || states <= 0 || actions <= 0
-        || states > kMaxElements || actions > kMaxElements
-        || states * actions > kMaxElements) {
-        setError(error, "invalid Q-table dimensions in checkpoint");
+    if (!core::QTable::parse(is, &data.table, error)) {
+        *error = "invalid Q-table in checkpoint: " + *error;
         return false;
     }
-    core::QTable table(static_cast<int>(states), static_cast<int>(actions));
-    for (int s = 0; s < states; ++s) {
-        for (int a = 0; a < actions; ++a) {
-            float value = 0.0f;
-            if (!(is >> value)) {
-                setError(error, "truncated Q-table in checkpoint");
-                return false;
-            }
-            if (!std::isfinite(value)) {
-                setError(error, "non-finite Q value in checkpoint");
-                return false;
-            }
-            table.at(s, a) = value;
-        }
-    }
-
     if (out != nullptr) {
-        out->fingerprint = fingerprint;
-        out->step = step;
-        out->table = std::move(table);
+        *out = std::move(data);
     }
     return true;
 }
@@ -172,61 +165,51 @@ CheckpointManager::CheckpointManager(std::string path)
 }
 
 bool
-CheckpointManager::save(const std::string &fingerprint, std::int64_t step,
-                        const core::QTable &table, std::string *error)
+CheckpointManager::save(const std::string &bytes, std::string *error)
 {
-    // Rotate the current checkpoint out of the way first. If the
-    // process dies between the rotate and the write, only `.prev`
-    // exists and load() recovers from it; atomicWriteFile guarantees
-    // the new primary is never observable half-written.
+    // Rotate the current file out of the way first. If the process
+    // dies between the rotate and the write, only `.prev` exists and
+    // load() recovers from it; atomicWriteFile guarantees the new
+    // primary is never observable half-written.
     std::ifstream exists(path_, std::ios::binary);
     if (exists) {
         exists.close();
         if (std::rename(path_.c_str(), prevPath_.c_str()) != 0) {
-            setError(error, "cannot rotate '" + path_ + "' to '"
-                                + prevPath_ + "'");
+            if (error != nullptr) {
+                *error = "cannot rotate '" + path_ + "' to '" + prevPath_
+                    + "'";
+            }
             return false;
         }
     }
-    if (!atomicWriteFile(path_, encodeCheckpoint(fingerprint, step, table),
-                         error)) {
+    if (!atomicWriteFile(path_, bytes, error)) {
         return false;
     }
     ++written_;
     return true;
 }
 
-CheckpointLoadResult
-CheckpointManager::load() const
+CheckpointSource
+CheckpointManager::recover(
+    const std::function<bool(const std::string &, std::string *)> &decode,
+    int *corruptDetected, std::string *error) const
 {
-    CheckpointLoadResult result;
+    const std::pair<const std::string *, CheckpointSource> files[] = {
+        {&path_, CheckpointSource::Primary},
+        {&prevPath_, CheckpointSource::Previous}};
     std::string bytes;
-
-    if (readFile(path_, &bytes)) {
-        std::string error;
-        if (decodeCheckpoint(bytes, &result.data, &error)) {
-            result.loaded = true;
-            result.source = CheckpointSource::Primary;
-            return result;
+    for (const auto &[path, source] : files) {
+        if (!readFile(*path, &bytes)) {
+            continue;
         }
-        ++result.corruptDetected;
-        result.error = path_ + ": " + error;
-    }
-
-    if (readFile(prevPath_, &bytes)) {
-        std::string error;
-        if (decodeCheckpoint(bytes, &result.data, &error)) {
-            result.loaded = true;
-            result.source = CheckpointSource::Previous;
-            return result;
+        std::string why;
+        if (decode(bytes, &why)) {
+            return source;
         }
-        ++result.corruptDetected;
-        const std::string prev_error = prevPath_ + ": " + error;
-        result.error = result.error.empty()
-            ? prev_error : result.error + "; " + prev_error;
+        ++*corruptDetected;
+        *error += (error->empty() ? "" : "; ") + *path + ": " + why;
     }
-
-    return result;
+    return CheckpointSource::None;
 }
 
 } // namespace autoscale::serve

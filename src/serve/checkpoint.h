@@ -1,34 +1,62 @@
 /**
  * @file
- * Crash-safe Q-table checkpointing for the online serving loop
- * (DESIGN.md §12). A checkpoint is a small self-validating text file:
+ * Crash-safe checkpoint files (DESIGN.md §12). The serving loop's
+ * Q-table checkpoint and the fleet manifest (serve/fleet_checkpoint.h)
+ * share one file format and one store; they differ only in their
+ * header and sections.
+ *
+ * Envelope: a text body, then a footer line
+ *
+ *   crc32 <8 hex digits>
+ *
+ * covering every byte before it, so a truncated or bit-flipped file is
+ * detected on read instead of being silently loaded. Bodies are
+ * written and read in the classic "C" locale, so a file reads back
+ * under any global locale.
+ *
+ * Store: CheckpointManager rotates the current file to `<path>.prev`
+ * and then writes the new one through atomicWriteFile (temp file +
+ * fsync + rename), so recovery after SIGKILL always finds either the
+ * newest complete file or the one before it — never a torn file it
+ * has to trust.
+ *
+ * The device checkpoint's body is
  *
  *   autoscale-checkpoint v1 <action-fingerprint> <step>
  *   <QTable::save text>
- *   crc32 <8 hex digits>
- *
- * The CRC32 footer covers every byte before the footer line, so a
- * truncated or bit-flipped file is detected on read instead of being
- * silently loaded into the learner. Writes go through atomicWriteFile
- * (temp file + fsync + rename), and the previous checkpoint is rotated
- * to `<path>.prev` first, so recovery after SIGKILL always finds either
- * the newest complete checkpoint or the one before it — never a torn
- * file it has to trust.
  *
  * Unlike QTable::load / AutoScaleScheduler::loadQTable, decoding here
- * never fatal()s: a corrupt checkpoint is an expected input on the
- * recovery path and is reported back so the manager can fall back.
+ * never fatal()s: a corrupt file is an expected input on the recovery
+ * path and is reported back so the store can fall back.
  */
 
 #ifndef AUTOSCALE_SERVE_CHECKPOINT_H_
 #define AUTOSCALE_SERVE_CHECKPOINT_H_
 
 #include <cstdint>
+#include <functional>
+#include <sstream>
 #include <string>
 
 #include "core/qtable.h"
 
 namespace autoscale::serve {
+
+/**
+ * The bytes of a checkpoint file: what @p writeBody writes to a
+ * classic-locale stream, then the CRC footer over it.
+ */
+std::string sealCheckpoint(
+    const std::function<void(std::ostream &)> &writeBody);
+
+/**
+ * Check the envelope of @p bytes (final newline, footer line, CRC) and
+ * open the body it covers in @p body, in the classic locale. Returns
+ * false with @p error naming @p kind ("checkpoint", "fleet manifest")
+ * on the first problem found.
+ */
+bool openCheckpoint(const std::string &bytes, const char *kind,
+                    std::istringstream *body, std::string *error);
 
 /** Decoded checkpoint payload. */
 struct CheckpointData {
@@ -63,13 +91,14 @@ enum class CheckpointSource {
 /** Human-readable source name ("none"/"primary"/"prev"). */
 const char *checkpointSourceName(CheckpointSource source);
 
-/** Result of a recovery attempt. */
+/** Result of a recovery attempt, holding what @p Data decodes to. */
+template <typename Data>
 struct CheckpointLoadResult {
     bool loaded = false;
     CheckpointSource source = CheckpointSource::None;
     /** Files that existed but failed validation (0, 1, or 2). */
     int corruptDetected = 0;
-    CheckpointData data;
+    Data data;
     /** Why the primary (and possibly the fallback) was rejected. */
     std::string error;
 };
@@ -80,26 +109,42 @@ class CheckpointManager {
     explicit CheckpointManager(std::string path);
 
     /**
-     * Persist one checkpoint: rotate the current file to `<path>.prev`,
-     * then atomically write the new one. Returns false (with @p error
-     * filled when non-null) on I/O failure.
+     * Persist one encoded file: rotate the current file to
+     * `<path>.prev`, then atomically write @p bytes. Returns false
+     * (with @p error filled when non-null) on I/O failure.
      */
-    bool save(const std::string &fingerprint, std::int64_t step,
-              const core::QTable &table, std::string *error = nullptr);
+    bool save(const std::string &bytes, std::string *error = nullptr);
 
     /**
-     * Recover the newest intact checkpoint: try `<path>`, then
-     * `<path>.prev`. Corrupt files are counted and skipped.
+     * Recover the newest intact file through @p decode: try `<path>`,
+     * then `<path>.prev`. Corrupt files are counted and skipped.
      */
-    CheckpointLoadResult load() const;
+    template <typename Data>
+    CheckpointLoadResult<Data>
+    load(bool (*decode)(const std::string &, Data *, std::string *)) const
+    {
+        CheckpointLoadResult<Data> result;
+        result.source = recover(
+            [&](const std::string &bytes, std::string *error) {
+                return decode(bytes, &result.data, error);
+            },
+            &result.corruptDetected, &result.error);
+        result.loaded = result.source != CheckpointSource::None;
+        return result;
+    }
 
     const std::string &path() const { return path_; }
     const std::string &prevPath() const { return prevPath_; }
 
-    /** Checkpoints successfully written through this manager. */
+    /** Files successfully written through this store. */
     std::int64_t written() const { return written_; }
 
   private:
+    CheckpointSource recover(
+        const std::function<bool(const std::string &, std::string *)>
+            &decode,
+        int *corruptDetected, std::string *error) const;
+
     std::string path_;
     std::string prevPath_;
     std::int64_t written_ = 0;

@@ -1,19 +1,12 @@
 #include "serve/churn.h"
 
+#include "util/hash_mix.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
 namespace autoscale::serve {
 
 namespace {
-
-/** Golden-ratio fold (the same mix the serve RNG fingerprint uses). */
-std::uint64_t
-mixSeed(std::uint64_t hash, std::uint64_t value)
-{
-    return hash
-        ^ (value + 0x9e3779b97f4a7c15ULL + (hash << 6) + (hash >> 2));
-}
 
 /**
  * The seed of the one-shot Rng behind a device's draw for one epoch —
@@ -23,9 +16,9 @@ mixSeed(std::uint64_t hash, std::uint64_t value)
 std::uint64_t
 drawSeed(std::uint64_t masterSeed, std::size_t device, std::int64_t epoch)
 {
-    std::uint64_t hash = mixSeed(0x636875726e2d7631ULL, masterSeed);
-    hash = mixSeed(hash, static_cast<std::uint64_t>(device));
-    hash = mixSeed(hash, static_cast<std::uint64_t>(epoch));
+    std::uint64_t hash = mixHash(0x636875726e2d7631ULL, masterSeed);
+    hash = mixHash(hash, static_cast<std::uint64_t>(device));
+    hash = mixHash(hash, static_cast<std::uint64_t>(epoch));
     return hash;
 }
 

@@ -16,6 +16,7 @@
 #include "harness/experiment.h"
 #include "serve/compact_metrics.h"
 #include "serve/device_state.h"
+#include "util/hash_mix.h"
 #include "util/logging.h"
 
 namespace autoscale::serve {
@@ -233,7 +234,8 @@ DeviceState::DeviceState(const DevicePlan *plan_in,
                 fatal("serve: --resume requires --checkpoint");
             }
             core::AutoScaleScheduler &scheduler = learner->scheduler();
-            const CheckpointLoadResult recovery = owned->manager->load();
+            const CheckpointLoadResult<CheckpointData> recovery =
+                owned->manager->load(decodeCheckpoint);
             owned->corruptCheckpoints = recovery.corruptDetected;
             owned->resumeSource = recovery.source;
             if (recovery.loaded) {
@@ -307,9 +309,11 @@ DeviceState::checkpointNow()
     }
     core::AutoScaleScheduler &scheduler = learner->scheduler();
     std::string error;
-    if (!owned->manager->save(scheduler.actionFingerprint(),
-                              owned->resumeStep + counters.served,
-                              scheduler.agent().table(), &error)) {
+    if (!owned->manager->save(
+            encodeCheckpoint(scheduler.actionFingerprint(),
+                             owned->resumeStep + counters.served,
+                             scheduler.agent().table()),
+            &error)) {
         fatal("serve: checkpoint failed: " + error);
     }
     counters.checkpointsWritten = owned->manager->written();
@@ -749,15 +753,11 @@ DeviceState::finish()
     // RNG fingerprint: one post-run draw per serving stream, hash
     // combined. Any draw an optimized path hoists, drops, or reorders
     // shifts at least one stream and changes the fingerprint.
-    auto mixFingerprint = [](std::uint64_t fp, std::uint64_t draw) {
-        return fp
-            ^ (draw + 0x9e3779b97f4a7c15ULL + (fp << 6) + (fp >> 2));
-    };
     std::uint64_t fingerprint = 0;
-    fingerprint = mixFingerprint(fingerprint, envRng.next());
-    fingerprint = mixFingerprint(fingerprint, decisionRng.next());
-    fingerprint = mixFingerprint(fingerprint, execRng.next());
-    fingerprint = mixFingerprint(fingerprint, workloadRng.next());
+    fingerprint = mixHash(fingerprint, envRng.next());
+    fingerprint = mixHash(fingerprint, decisionRng.next());
+    fingerprint = mixHash(fingerprint, execRng.next());
+    fingerprint = mixHash(fingerprint, workloadRng.next());
     stats.rngFingerprint = fingerprint;
 
     policy->finishEpisode();
@@ -868,32 +868,22 @@ DeviceLoop::stateDigest() const
     // draw per stream): a barrier-time fold of the loop state a replay
     // must reproduce. Any divergence in arrivals, admission, serving,
     // energy, or virtual time shifts at least one term.
-    auto fold = [](std::uint64_t hash, std::uint64_t value) {
-        return hash
-            ^ (value + 0x9e3779b97f4a7c15ULL + (hash << 6) + (hash >> 2));
-    };
-    auto foldDouble = [&fold](std::uint64_t hash, double value) {
-        std::uint64_t bits = 0;
-        static_assert(sizeof(bits) == sizeof(value));
-        __builtin_memcpy(&bits, &value, sizeof(bits));
-        return fold(hash, bits);
-    };
     const DeviceState &state = *state_;
+    const RunCounters &counters = state.counters;
     std::uint64_t digest = 0;
-    digest = foldDouble(digest, state.clockMs);
-    digest = foldDouble(digest, state.pendingArrivalMs);
-    digest = fold(digest, static_cast<std::uint64_t>(state.counters.arrivals));
-    digest = fold(digest, static_cast<std::uint64_t>(state.counters.admitted));
-    digest = fold(digest, static_cast<std::uint64_t>(state.counters.served));
-    digest = fold(digest,
-                  static_cast<std::uint64_t>(state.counters.shedDeadline
-                                             + state.counters.shedOverflow
-                                             + state.counters.shedStale));
-    digest =
-        fold(digest, static_cast<std::uint64_t>(state.counters.shedChurn));
-    digest = foldDouble(digest, state.counters.energyJ);
-    digest = fold(digest, state.queue.depth());
-    digest = fold(digest, state.loopDone ? 1 : 0);
+    digest = mixHashDouble(digest, state.clockMs);
+    digest = mixHashDouble(digest, state.pendingArrivalMs);
+    digest = mixHash(digest, static_cast<std::uint64_t>(counters.arrivals));
+    digest = mixHash(digest, static_cast<std::uint64_t>(counters.admitted));
+    digest = mixHash(digest, static_cast<std::uint64_t>(counters.served));
+    digest = mixHash(digest,
+                     static_cast<std::uint64_t>(counters.shedDeadline
+                                                + counters.shedOverflow
+                                                + counters.shedStale));
+    digest = mixHash(digest, static_cast<std::uint64_t>(counters.shedChurn));
+    digest = mixHashDouble(digest, counters.energyJ);
+    digest = mixHash(digest, state.queue.depth());
+    digest = mixHash(digest, state.loopDone ? 1 : 0);
     return digest;
 }
 

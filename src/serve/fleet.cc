@@ -1,7 +1,6 @@
 #include "serve/fleet.h"
 
 #include <algorithm>
-#include <bit>
 #include <cstring>
 #include <functional>
 #include <limits>
@@ -19,6 +18,7 @@
 #include "serve/device_loop.h"
 #include "serve/device_state.h"
 #include "serve/fleet_checkpoint.h"
+#include "util/hash_mix.h"
 #include "util/logging.h"
 #include "util/mem.h"
 #include "util/stats.h"
@@ -26,18 +26,6 @@
 #include "util/thread_pool.h"
 
 namespace autoscale::serve {
-
-namespace {
-
-/** Golden-ratio hash fold (same mix as the serve RNG fingerprint). */
-std::uint64_t
-mixChecksum(std::uint64_t hash, std::uint64_t value)
-{
-    return hash
-        ^ (value + 0x9e3779b97f4a7c15ULL + (hash << 6) + (hash >> 2));
-}
-
-} // namespace
 
 QTableMode
 qTableModeFromName(const std::string &name)
@@ -354,31 +342,6 @@ fleetShardCount(const FleetConfig &config)
                                 (n + perShard - 1) / perShard));
 }
 
-namespace {
-
-/**
- * What the fleet's device-order fold reads of one finished device: the
- * checksum inputs, the clock, and the floating-point totals, whose sum
- * must run in device order to stay bit-exact.
- */
-struct DeviceTotals {
-    std::uint64_t rngFingerprint = 0;
-    std::int64_t served = 0;
-    std::int64_t shedChurn = 0;
-    double energyJ = 0.0;
-    double wastedEnergyJ = 0.0;
-    double endClockMs = 0.0;
-};
-
-DeviceTotals
-totalsOf(const ServeStats &device)
-{
-    return {device.rngFingerprint, device.served,        device.shedChurn,
-            device.energyJ,        device.wastedEnergyJ, device.endClockMs};
-}
-
-} // namespace
-
 FleetStats
 runFleet(const sim::InferenceSimulator &sim, const FleetConfig &config,
          const obs::ObsContext &obs)
@@ -460,7 +423,7 @@ runFleet(const sim::InferenceSimulator &sim, const FleetConfig &config,
     // also run the single-device per-request checkpointer against the
     // same file. A fleet of one keeps the single-device semantics.
     FleetStats stats;
-    std::optional<FleetCheckpointManager> fleetCheckpoint;
+    std::optional<CheckpointManager> fleetCheckpoint;
     std::int64_t resumeEpoch = -1;
     std::uint64_t resumeStateDigest = 0;
     const std::uint64_t configDigest = fleetConfigDigest(config);
@@ -470,7 +433,8 @@ runFleet(const sim::InferenceSimulator &sim, const FleetConfig &config,
         deviceConfig.resume = false;
         fleetCheckpoint.emplace(config.serve.checkpointPath);
         if (config.serve.resume) {
-            FleetManifestLoadResult loaded = fleetCheckpoint->load();
+            const CheckpointLoadResult<FleetManifest> loaded =
+                fleetCheckpoint->load(decodeFleetManifest);
             stats.corruptCheckpoints = loaded.corruptDetected;
             if (loaded.loaded) {
                 if (loaded.data.configDigest != configDigest) {
@@ -570,15 +534,13 @@ runFleet(const sim::InferenceSimulator &sim, const FleetConfig &config,
     // manifest stores and what a resumed replay must reproduce.
     std::int64_t epoch = 0;
     auto fleetStateDigest = [&]() {
-        std::uint64_t digest =
-            mixChecksum(0, static_cast<std::uint64_t>(epoch));
+        std::uint64_t digest = mixHash(0, static_cast<std::uint64_t>(epoch));
         for (std::size_t d = 0; d < n; ++d) {
-            digest = mixChecksum(digest, devices[d].stateDigest());
+            digest = mixHash(digest, devices[d].stateDigest());
         }
         if (churn) {
             for (const char c : churn->stateLine()) {
-                digest = mixChecksum(
-                    digest, static_cast<unsigned char>(c));
+                digest = mixHash(digest, static_cast<unsigned char>(c));
             }
         }
         return digest;
@@ -595,7 +557,7 @@ runFleet(const sim::InferenceSimulator &sim, const FleetConfig &config,
             manifest.table = mergedQTableSnapshot(schedulers);
         }
         std::string error;
-        if (!fleetCheckpoint->save(manifest, &error)) {
+        if (!fleetCheckpoint->save(encodeFleetManifest(manifest), &error)) {
             fatal("fleet: checkpoint failed: " + error);
         }
         stats.checkpointsWritten = fleetCheckpoint->written();
@@ -749,11 +711,10 @@ runFleet(const sim::InferenceSimulator &sim, const FleetConfig &config,
     }
 
     // --- Finish and free on the pool (DESIGN.md §18). Each shard task
-    // finishes its devices, keeps what the report needs of each (its
-    // ServeStats, or under aggregateStats only the words the ordered
-    // fold reads), writes their Q-table dumps when asked, and frees its
-    // device records, so the results are gathered into FleetStats only
-    // once every record is gone.
+    // finishes its devices, keeps their ServeStats, writes their
+    // Q-table dumps when asked, and frees its device records, so the
+    // results are gathered into FleetStats only once every record is
+    // gone.
     //
     // A learner's finish may write its Q-table while another shard
     // frees tables that share its base. A table writes its base in
@@ -775,7 +736,6 @@ runFleet(const sim::InferenceSimulator &sim, const FleetConfig &config,
     struct FinishedShard {
         FleetAggregate counts;
         std::vector<ServeStats> devices;
-        std::vector<DeviceTotals> totals;
         std::string qtables;
     };
     std::vector<FinishedShard> finished(shards);
@@ -784,11 +744,7 @@ runFleet(const sim::InferenceSimulator &sim, const FleetConfig &config,
         const auto [begin, end] = shardRange(shard);
         FinishedShard &out = finished[shard];
         FleetAggregate &counts = out.counts;
-        if (config.aggregateStats) {
-            out.totals.reserve(end - begin);
-        } else {
-            out.devices.reserve(end - begin);
-        }
+        out.devices.reserve(end - begin);
         for (std::size_t d = begin; d < end; ++d) {
             ServeStats device = devices[d].finish();
             counts.arrivals += device.arrivals;
@@ -798,11 +754,7 @@ runFleet(const sim::InferenceSimulator &sim, const FleetConfig &config,
             counts.shedChurn += device.shedChurn;
             counts.degraded += device.degraded;
             counts.qosViolations += device.qosViolations;
-            if (config.aggregateStats) {
-                out.totals.push_back(totalsOf(device));
-            } else {
-                out.devices.push_back(std::move(device));
-            }
+            out.devices.push_back(std::move(device));
         }
         if (dumpQTables) {
             std::ostringstream dump;
@@ -823,24 +775,8 @@ runFleet(const sim::InferenceSimulator &sim, const FleetConfig &config,
     // device's checksum words, clock and floating-point totals (the
     // same arithmetic in the same order as a serial finish), moving
     // the kept stats into place and freeing each shard's buffers.
-    if (!config.aggregateStats) {
-        stats.devices.reserve(n);
-    }
+    stats.devices.reserve(n);
     std::uint64_t checksum = 0;
-    auto foldDevice = [&](const DeviceTotals &device) {
-        stats.endClockMs = std::max(stats.endClockMs, device.endClockMs);
-        checksum = mixChecksum(checksum, device.rngFingerprint);
-        checksum = mixChecksum(
-            checksum, static_cast<std::uint64_t>(device.served));
-        checksum = mixChecksum(
-            checksum, static_cast<std::uint64_t>(device.shedChurn));
-        checksum = mixChecksum(
-            checksum, std::bit_cast<std::uint64_t>(device.energyJ));
-        checksum = mixChecksum(
-            checksum, std::bit_cast<std::uint64_t>(device.endClockMs));
-        stats.aggregate.energyJ += device.energyJ;
-        stats.aggregate.wastedEnergyJ += device.wastedEnergyJ;
-    };
     for (FinishedShard &shard : finished) {
         const FleetAggregate &counts = shard.counts;
         stats.aggregate.arrivals += counts.arrivals;
@@ -849,11 +785,17 @@ runFleet(const sim::InferenceSimulator &sim, const FleetConfig &config,
         stats.aggregate.shedChurn += counts.shedChurn;
         stats.aggregate.degraded += counts.degraded;
         stats.aggregate.qosViolations += counts.qosViolations;
-        for (const DeviceTotals &device : shard.totals) {
-            foldDevice(device);
-        }
         for (ServeStats &device : shard.devices) {
-            foldDevice(totalsOf(device));
+            stats.endClockMs = std::max(stats.endClockMs, device.endClockMs);
+            checksum = mixHash(checksum, device.rngFingerprint);
+            checksum =
+                mixHash(checksum, static_cast<std::uint64_t>(device.served));
+            checksum = mixHash(checksum,
+                               static_cast<std::uint64_t>(device.shedChurn));
+            checksum = mixHashDouble(checksum, device.energyJ);
+            checksum = mixHashDouble(checksum, device.endClockMs);
+            stats.aggregate.energyJ += device.energyJ;
+            stats.aggregate.wastedEnergyJ += device.wastedEnergyJ;
             stats.devices.push_back(std::move(device));
         }
         stats.qtableDump += shard.qtables;

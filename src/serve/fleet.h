@@ -104,15 +104,6 @@ struct FleetConfig {
     int haltAfterEpochs = 0;
     /** Capture every device's final Q-table in FleetStats::qtableDump. */
     bool collectQTables = false;
-
-    /**
-     * Drop the per-device ServeStats vector (FleetStats::devices).
-     * Million-device runs need this: a million ServeStats (latency
-     * vectors, category maps) cost more than the devices themselves.
-     * Totals and the checksum are unchanged; per-device reporting and
-     * latency percentiles are unavailable (they read as 0 / empty).
-     */
-    bool aggregateStats = false;
     /**
      * Measure the run's memory footprint (peak RSS delta over the
      * fleet's lifetime) into FleetStats::peakRssBytes/bytesPerDevice.
@@ -123,9 +114,8 @@ struct FleetConfig {
 };
 
 /**
- * Fleet totals over every device, folded by runFleet whether or not
- * per-device stats are kept (FleetConfig::aggregateStats). The energy
- * sums run in device order from +0.0.
+ * Fleet totals over every device, folded by runFleet from the
+ * per-device stats. The energy sums run in device order from +0.0.
  */
 struct FleetAggregate {
     std::int64_t arrivals = 0;
@@ -142,10 +132,7 @@ struct FleetAggregate {
 
 /** Fleet-level results: per-device stats plus contention aggregates. */
 struct FleetStats {
-    /**
-     * Per-device serving stats, in device-index order. Empty when
-     * FleetConfig::aggregateStats is set.
-     */
+    /** Per-device serving stats, in device-index order. */
     std::vector<ServeStats> devices;
     /** Fleet totals over every device. */
     FleetAggregate aggregate;

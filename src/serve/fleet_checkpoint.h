@@ -23,10 +23,12 @@
  * artifact (a fleet-wide warm-start table as of barrier k), not as
  * resume state.
  *
- * Durability matches the single-device checkpoint: writes rotate the
- * current manifest to `<path>.prev` and go through atomicWriteFile, so
- * recovery after SIGKILL finds the newest complete manifest or the one
- * before it, never a torn file. Decoding never fatal()s.
+ * The manifest is a checkpoint file (serve/checkpoint.h): the same
+ * CRC-sealed, classic-locale envelope, kept in the same rotating
+ * CheckpointManager store (`runFleet` loads it with
+ * decodeFleetManifest), so recovery after SIGKILL finds the newest
+ * complete manifest or the one before it, never a torn file. Only the
+ * header and sections above are its own. Decoding never fatal()s.
  */
 
 #ifndef AUTOSCALE_SERVE_FLEET_CHECKPOINT_H_
@@ -77,44 +79,6 @@ std::string encodeFleetManifest(const FleetManifest &manifest);
  */
 bool decodeFleetManifest(const std::string &bytes, FleetManifest *out,
                          std::string *error);
-
-/** Result of a fleet-manifest recovery attempt. */
-struct FleetManifestLoadResult {
-    bool loaded = false;
-    CheckpointSource source = CheckpointSource::None;
-    /** Files that existed but failed validation (0, 1, or 2). */
-    int corruptDetected = 0;
-    FleetManifest data;
-    /** Why the primary (and possibly the fallback) was rejected. */
-    std::string error;
-};
-
-/** Rotating two-deep fleet-manifest store at a fixed path. */
-class FleetCheckpointManager {
-  public:
-    explicit FleetCheckpointManager(std::string path);
-
-    /**
-     * Persist one manifest: rotate the current file to `<path>.prev`,
-     * then atomically write the new one. Returns false (with @p error
-     * filled when non-null) on I/O failure.
-     */
-    bool save(const FleetManifest &manifest, std::string *error = nullptr);
-
-    /** Recover the newest intact manifest: `<path>`, then `.prev`. */
-    FleetManifestLoadResult load() const;
-
-    const std::string &path() const { return path_; }
-    const std::string &prevPath() const { return prevPath_; }
-
-    /** Manifests successfully written through this manager. */
-    std::int64_t written() const { return written_; }
-
-  private:
-    std::string path_;
-    std::string prevPath_;
-    std::int64_t written_ = 0;
-};
 
 } // namespace autoscale::serve
 

@@ -1204,10 +1204,9 @@ TEST(FleetRecords, CheckpointBytesMatchPinnedDigest)
 
 TEST(FleetRecords, AggregateStatsFoldPreservesTotalsAndChecksum)
 {
-    // aggregateStats drops the per-device ServeStats vector (a
-    // million-device run cannot afford it) but must not change any
-    // total or the cross-shard checksum: the fold is the same
-    // arithmetic in the same device order.
+    // FleetStats::aggregate is the sum of the per-device stats, energy
+    // summed in device order from +0.0, whichever shard finished each
+    // device.
     FleetConfig fleet;
     fleet.serve = serveConfig(1.5, 40);
     fleet.devices = 6;
@@ -1225,20 +1224,10 @@ TEST(FleetRecords, AggregateStatsFoldPreservesTotalsAndChecksum)
 
     for (const FleetConfig *config : {&fleet, &large}) {
         SCOPED_TRACE(std::to_string(config->devices) + " devices");
-        FleetConfig folded = *config;
-        folded.aggregateStats = true;
-
         const FleetStats full = runFleet(testSim(), *config, {});
-        const FleetStats agg = runFleet(testSim(), folded, {});
-
         ASSERT_EQ(full.devices.size(),
                   static_cast<std::size_t>(config->devices));
-        EXPECT_TRUE(agg.devices.empty());
-        EXPECT_EQ(agg.checksum, full.checksum);
-        EXPECT_EQ(agg.endClockMs, full.endClockMs);
 
-        // Both modes fold the same totals: the sum of the kept
-        // per-device stats, energy summed in device order from +0.0.
         FleetAggregate expected;
         for (const ServeStats &device : full.devices) {
             expected.arrivals += device.arrivals;
@@ -1251,17 +1240,15 @@ TEST(FleetRecords, AggregateStatsFoldPreservesTotalsAndChecksum)
             expected.energyJ += device.energyJ;
             expected.wastedEnergyJ += device.wastedEnergyJ;
         }
-        for (const FleetStats *stats : {&full, &agg}) {
-            const FleetAggregate &folded = stats->aggregate;
-            EXPECT_EQ(folded.arrivals, expected.arrivals);
-            EXPECT_EQ(folded.served, expected.served);
-            EXPECT_EQ(folded.shed, expected.shed);
-            EXPECT_EQ(folded.shedChurn, expected.shedChurn);
-            EXPECT_EQ(folded.degraded, expected.degraded);
-            EXPECT_EQ(folded.qosViolations, expected.qosViolations);
-            EXPECT_EQ(folded.energyJ, expected.energyJ);
-            EXPECT_EQ(folded.wastedEnergyJ, expected.wastedEnergyJ);
-        }
+        const FleetAggregate &folded = full.aggregate;
+        EXPECT_EQ(folded.arrivals, expected.arrivals);
+        EXPECT_EQ(folded.served, expected.served);
+        EXPECT_EQ(folded.shed, expected.shed);
+        EXPECT_EQ(folded.shedChurn, expected.shedChurn);
+        EXPECT_EQ(folded.degraded, expected.degraded);
+        EXPECT_EQ(folded.qosViolations, expected.qosViolations);
+        EXPECT_EQ(folded.energyJ, expected.energyJ);
+        EXPECT_EQ(folded.wastedEnergyJ, expected.wastedEnergyJ);
     }
 }
 
@@ -1403,12 +1390,12 @@ TEST(FleetRecords, LearnerFleetStaysUnderMemoryBudget)
     // shared-mode learners, each holding its visit rows and the rows it
     // wrote since the last merge over one shared base. With a dense
     // table and visit counts per device (1.23 MB) this run would need
-    // about 12 GB.
+    // about 12 GB. It measured 7,165-7,172 B/device with per-device
+    // stats kept, 7,177 B when they were dropped.
     FleetConfig fleet;
     fleet.serve = serveConfig(0.5, 20);
     fleet.devices = 10000;
     fleet.qMode = QTableMode::Shared;
-    fleet.aggregateStats = true;
     fleet.reportMemory = true;
 
     const FleetStats stats = runFleet(testSim(), fleet, {});
@@ -1539,21 +1526,23 @@ TEST(FleetRecords, HundredThousandDeviceSmokeStaysUnderMemoryBudget)
     // 100k fixed-policy devices in-process — the CI-scale end of the
     // envelope (bench_fleet gates the same bytes/device number at a
     // million devices, measured ~1.0 KB/device); the 4 KiB ceiling
-    // leaves headroom for allocator noise, not for regressions.
+    // leaves headroom for allocator noise, not for regressions. The
+    // per-device stats are gathered after every record is freed: kept,
+    // they measured 1,006-1,007 B/device (4 vCPUs, RelWithDebInfo), as
+    // when they were dropped.
     FleetConfig fleet;
     fleet.serve.policyName = "connected-edge";
     fleet.serve.trainRunsPerCombo = 0;
     fleet.serve.totalRequests = 2;
     fleet.serve.arrival.ratePerSec = 50.0;
     fleet.devices = 100000;
-    fleet.aggregateStats = true;
     fleet.reportMemory = true;
 
     const FleetStats stats = runFleet(testSim(), fleet, {});
     EXPECT_EQ(stats.aggregate.arrivals, 200000);
     EXPECT_EQ(stats.aggregate.arrivals,
               stats.aggregate.served + stats.aggregate.shed);
-    EXPECT_TRUE(stats.devices.empty());
+    EXPECT_EQ(stats.devices.size(), 100000u);
     ASSERT_GT(stats.peakRssBytes, 0u);
     ASSERT_GT(stats.bytesPerDevice, 0.0);
     if (!kThreadSanitizer) {
