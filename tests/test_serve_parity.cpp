@@ -301,6 +301,39 @@ TEST(ServeParity, OverloadExportsMatchPinnedDigests)
 }
 
 /**
+ * The flash-crowd arrival shape (scenarios/flash-crowd.scn: 6x bursts
+ * of 300 ms every 1,200 ms) under flaky Wi-Fi, learning online: the
+ * arrival gaps switch rate at every burst edge, so the burst-window
+ * phase and the learner's decisions both reach the exported bytes.
+ * Recorded at commit a206156, before the burst phase and the Q-row
+ * scans were rewritten; a metering-only run must export the same
+ * metrics.
+ */
+TEST(ServeParity, BurstExportsMatchPinnedDigests)
+{
+    ServeConfig config = parityConfig("flaky-wifi", 0.1, 800);
+    config.arrival.burstPeriodMs = 1200.0;
+    config.arrival.burstDurationMs = 300.0;
+    config.arrival.burstMultiplier = 6.0;
+    const RunArtifacts traced =
+        runWith(&platform::makeMi8Pro, config, true);
+    EXPECT_EQ(traced.stats.arrivals, 800);
+    EXPECT_EQ(traced.stats.served, 441);
+    EXPECT_EQ(traced.stats.shedDeadline, 358);
+    // ~92 s of virtual time: about 76 burst windows.
+    EXPECT_GT(traced.stats.endClockMs, 75.0 * 1200.0);
+    expectMatchesPin(traced,
+                     {0xc0a4c64314f4f54dULL, 0x0c23894e8b2b49fbULL,
+                      0x2299ef90a91fc144ULL},
+                     "burst");
+    const RunArtifacts metered =
+        runWith(&platform::makeMi8Pro, config, true, false);
+    EXPECT_TRUE(metered.traceJsonl.empty());
+    EXPECT_EQ(metered.metricsText, traced.metricsText);
+    EXPECT_EQ(metered.stats.rngFingerprint, traced.stats.rngFingerprint);
+}
+
+/**
  * A light load serves most arrivals, so the learner's exploration
  * reaches infeasible picks and the commit's infeasible-fallback site,
  * which the overloaded cells above, shedding most arrivals, never
