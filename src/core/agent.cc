@@ -160,7 +160,7 @@ QLearningAgent::QLearningAgent(const QTable &initial,
 }
 
 int
-QLearningAgent::selectAction(int state)
+QLearningAgent::selectAction(const float *row, int greedy)
 {
     if (explore_ && rng_.uniform() < config_.epsilon) {
         lastExplored_ = true;
@@ -169,7 +169,7 @@ QLearningAgent::selectAction(int state)
                 table_.numActions())));
     }
     lastExplored_ = false;
-    return table_.bestAction(state);
+    return greedy >= 0 ? greedy : firstMaxIndex(row, table_.numActions());
 }
 
 int
@@ -195,12 +195,12 @@ QLearningAgent::learningRateAfter(int visits) const
     return std::max(decayed, config_.minLearningRate);
 }
 
-void
+int
 QLearningAgent::update(int state, int action, double reward, int nextState)
 {
     convergence_.add(reward);
     if (!learn_) {
-        return;
+        return -1;
     }
     AS_CHECK(state >= 0 && state < table_.numStates());
     AS_CHECK(action >= 0 && action < table_.numActions());
@@ -209,13 +209,16 @@ QLearningAgent::update(int state, int action, double reward, int nextState)
     if (visits < 0xffff) {
         ++visits;
     }
+    const float *next = table_.row(nextState);
+    const int nextBest = firstMaxIndex(next, table_.numActions());
     const double target = reward + config_.discount
-        * table_.maxValue(nextState);
+        * static_cast<double>(next[nextBest]);
     float &q = table_.at(state, action);
     const double old_q = q;
     lastTdError_ = target - old_q;
     lastUpdateDelta_ = rate * lastTdError_;
     q = static_cast<float>(old_q + lastUpdateDelta_);
+    return state == nextState ? -1 : nextBest;
 }
 
 } // namespace autoscale::core

@@ -115,7 +115,20 @@ class QLearningAgent {
                    Rng rng);
 
     /** Epsilon-greedy action for @p state (Algorithm 1 selection). */
-    int selectAction(int state);
+    int
+    selectAction(int state)
+    {
+        return selectAction(table_.row(state), -1);
+    }
+
+    /**
+     * selectAction() over @p row, the current Q-row of the state, for a
+     * caller that holds it. @p greedy, when >= 0, is that row's
+     * bestAction as the caller already knows it (update()'s return
+     * value), so the greedy branch scans nothing. Draws exactly what
+     * selectAction(state) draws.
+     */
+    int selectAction(const float *row, int greedy);
 
     /**
      * Whether the most recent selectAction() chose by exploration
@@ -126,8 +139,13 @@ class QLearningAgent {
     /** Greedy action (exploitation only). */
     int bestAction(int state) const { return table_.bestAction(state); }
 
-    /** Algorithm 1 update for transition (S, A, R, S'). */
-    void update(int state, int action, double reward, int nextState);
+    /**
+     * Algorithm 1 update for transition (S, A, R, S'). Returns
+     * bestAction(S') as the bootstrap max found it, which stays valid
+     * because the update writes only row S; returns -1 when S = S' or
+     * while learning is off.
+     */
+    int update(int state, int action, double reward, int nextState);
 
     /** Enable/disable exploration (testing phase runs greedy). */
     void setExploration(bool enabled) { explore_ = enabled; }

@@ -99,13 +99,15 @@ HybridScheduler::choose(const sim::InferenceRequest &request,
     AS_CHECK(request.network != nullptr);
     const StateId state =
         config_.encoder.encode(makeStateFeatures(*request.network, env));
+    int greedy = -1;
     if (pending_.has_value()) {
-        agent_.update(pending_->state, pending_->action, pending_->reward,
-                      state);
+        greedy = agent_.update(pending_->state, pending_->action,
+                               pending_->reward, state);
         pending_.reset();
     }
     currentState_ = state;
-    currentAction_ = agent_.selectAction(state);
+    currentAction_ =
+        agent_.selectAction(agent_.table().row(state), greedy);
     currentRequest_ = request;
     awaitingFeedback_ = true;
     return actions_[static_cast<std::size_t>(currentAction_)];

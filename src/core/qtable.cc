@@ -1,6 +1,7 @@
 #include "core/qtable.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -13,7 +14,77 @@
 
 #include "util/logging.h"
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 namespace autoscale::core {
+
+int
+firstMaxIndex(const float *values, int count)
+{
+#if defined(__SSE2__)
+    // The scalar scan keeps values[0] when it is NaN, since nothing
+    // compares greater than NaN.
+    if (!(values[0] == values[0])) {
+        return 0;
+    }
+    // The last four values; a row shorter than four is padded with
+    // values[0], which can only match where values[0] already did.
+    int tailAt = 0;
+    __m128 tail;
+    if (count >= 4) {
+        tailAt = count - 4;
+        tail = _mm_loadu_ps(values + tailAt);
+    } else {
+        tail = _mm_setr_ps(values[0], values[count > 1 ? 1 : 0],
+                           values[count > 2 ? 2 : 0], values[0]);
+    }
+    // _mm_max_ps(x, acc) returns acc when x is NaN, so starting from
+    // values[0] the accumulators skip NaNs as the scalar scan does.
+    __m128 m0 = _mm_max_ps(tail, _mm_set1_ps(values[0]));
+    __m128 m1 = m0;
+    __m128 m2 = m0;
+    __m128 m3 = m0;
+    int i = 0;
+    for (; i + 16 <= count; i += 16) {
+        m0 = _mm_max_ps(_mm_loadu_ps(values + i), m0);
+        m1 = _mm_max_ps(_mm_loadu_ps(values + i + 4), m1);
+        m2 = _mm_max_ps(_mm_loadu_ps(values + i + 8), m2);
+        m3 = _mm_max_ps(_mm_loadu_ps(values + i + 12), m3);
+    }
+    for (; i + 4 <= count; i += 4) {
+        m0 = _mm_max_ps(_mm_loadu_ps(values + i), m0);
+    }
+    __m128 best = _mm_max_ps(_mm_max_ps(m0, m1), _mm_max_ps(m2, m3));
+    best = _mm_max_ps(best,
+                      _mm_shuffle_ps(best, best, _MM_SHUFFLE(1, 0, 3, 2)));
+    best = _mm_max_ps(best,
+                      _mm_shuffle_ps(best, best, _MM_SHUFFLE(2, 3, 0, 1)));
+    // The first value equal to the maximum is the one the strict-`>`
+    // scan keeps: -0 and +0 compare equal there as here. Every index
+    // not in a whole block of four lies in the tail, and the tail's
+    // lanes that overlap a block already failed to match.
+    for (i = 0; i + 4 <= count; i += 4) {
+        const int hits =
+            _mm_movemask_ps(_mm_cmpeq_ps(_mm_loadu_ps(values + i), best));
+        if (hits != 0) {
+            return i + std::countr_zero(static_cast<unsigned>(hits));
+        }
+    }
+    return tailAt
+        + std::countr_zero(static_cast<unsigned>(
+            _mm_movemask_ps(_mm_cmpeq_ps(tail, best))));
+#else
+    int best = 0;
+    for (int a = 1; a < count; ++a) {
+        if (values[a] > values[best]) {
+            best = a;
+        }
+    }
+    return best;
+#endif
+}
 
 QTable::QTable(int numStates, int numActions)
     : numStates_(numStates), numActions_(numActions),
@@ -120,31 +191,14 @@ QTable::randomize(Rng &rng, double lo, double hi)
 int
 QTable::bestAction(int state) const
 {
-    // One bounds check and one row lookup for the whole row, then a raw
-    // scan: this runs once per decision.
-    const float *values = row(state);
-    int best = 0;
-    float best_value = values[0];
-    for (int a = 1; a < numActions_; ++a) {
-        if (values[a] > best_value) {
-            best_value = values[a];
-            best = a;
-        }
-    }
-    return best;
+    return firstMaxIndex(row(state), numActions_);
 }
 
 double
 QTable::maxValue(int state) const
 {
     const float *values = row(state);
-    float best_value = values[0];
-    for (int a = 1; a < numActions_; ++a) {
-        if (values[a] > best_value) {
-            best_value = values[a];
-        }
-    }
-    return best_value;
+    return values[firstMaxIndex(values, numActions_)];
 }
 
 std::size_t

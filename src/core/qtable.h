@@ -43,6 +43,15 @@
 
 namespace autoscale::core {
 
+/**
+ * Index of the first of @p count >= 1 values that attains their
+ * maximum: what a scalar scan that keeps a value only when it is
+ * strictly greater returns, NaNs and signed zeros included. The one
+ * Q-row scan behind every decision and every update's bootstrap max;
+ * on x86-64 it runs as SSE2 max and compare passes (DESIGN.md §14).
+ */
+int firstMaxIndex(const float *values, int count);
+
 /** State x action value table over a copy-on-write base. */
 class QTable {
   public:
@@ -111,7 +120,7 @@ class QTable {
     /** Action with the largest Q(S, A); ties break to the lowest id. */
     int bestAction(int state) const;
 
-    /** max_A Q(S, A). */
+    /** max_A Q(S, A): the value at bestAction(), its sign included. */
     double maxValue(int state) const;
 
     /**

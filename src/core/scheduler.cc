@@ -45,21 +45,26 @@ AutoScaleScheduler::choose(const sim::InferenceRequest &request,
     const StateFeatures features = makeStateFeatures(*request.network, env);
     const StateId state = config_.encoder.encode(features);
 
-    // The state observed now is S' for the previous transition.
+    // The state observed now is S' for the previous transition. The
+    // update's bootstrap max already scanned this state's row; its
+    // first-max index is the greedy pick unless the update wrote to
+    // this same row, in which case update() returns -1.
+    int greedy = -1;
     if (pending_.has_value()) {
-        agent_.update(pending_->state, pending_->action, pending_->reward,
-                      state);
+        greedy = agent_.update(pending_->state, pending_->action,
+                               pending_->reward, state);
         pending_.reset();
     }
 
+    // Read after the update: its write may have moved private rows.
+    const float *values = agent_.table().row(state);
     currentState_ = state;
-    currentAction_ = agent_.selectAction(state);
+    currentAction_ = agent_.selectAction(values, greedy);
     currentRequest_ = request;
     awaitingFeedback_ = true;
     lastDecision_ = DecisionInfo{
         currentState_, currentAction_,
-        static_cast<double>(agent_.table().at(currentState_,
-                                              currentAction_)),
+        static_cast<double>(values[currentAction_]),
         agent_.lastActionExplored()};
     return actions_[static_cast<std::size_t>(currentAction_)];
 }

@@ -840,8 +840,8 @@ settings()
         {"arrival.rate_x", "--rate-x", 1e-6, 1e6, "> 0", F(arrival.rateX)},
         {"arrival.rate_rps", "--rate-hz", 1e-6, 1e9, "> 0",
          F(arrival.rateRps)},
-        {"arrival.burst_period_ms", "--burst-period-ms", -kAny, kAny,
-         "finite", F(arrival.burstPeriodMs)},
+        {"arrival.burst_period_ms", "--burst-period-ms", 0, kAny,
+         ">= 0", F(arrival.burstPeriodMs)},
         {"arrival.burst_ms", "--burst-ms", 0, 1e9, ">= 0",
          F(arrival.burstMs)},
         {"arrival.burst_mult", "--burst-mult", 1, 1e6, ">= 1",

@@ -49,7 +49,7 @@ struct ArrivalSpec {
     double rateX = 2.0;
     /** Absolute rate, requests/s; > 0 overrides rateX. */
     double rateRps = 0.0;
-    /** Flash-crowd burst episodes (<= 0 period disables). */
+    /** Flash-crowd burst episodes (period 0 disables). */
     double burstPeriodMs = 2000.0;
     double burstMs = 400.0;
     double burstMult = 4.0;

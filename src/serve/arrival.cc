@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "util/logging.h"
+#include "util/period.h"
 
 namespace autoscale::serve {
 
@@ -13,8 +14,7 @@ ArrivalConfig::inBurst(double nowMs) const
         || burstMultiplier <= 1.0) {
         return false;
     }
-    const double phase = std::fmod(nowMs, burstPeriodMs);
-    return phase < burstDurationMs;
+    return periodPhase(nowMs, burstPeriodMs) < burstDurationMs;
 }
 
 double
@@ -33,7 +33,15 @@ ArrivalProcess::ArrivalProcess(const ArrivalConfig &config,
                                std::uint64_t seed)
     : config_(&config), rng_(seed)
 {
+    // A shape whose rate can reach zero or turn negative would make
+    // nextArrivalMs() return an infinite or backwards gap, stopping or
+    // reversing the device clock without a word.
     AS_CHECK(config_->ratePerSec > 0.0);
+    AS_CHECK(config_->burstPeriodMs >= 0.0);
+    AS_CHECK(config_->burstDurationMs >= 0.0);
+    AS_CHECK(config_->burstMultiplier > 0.0);
+    AS_CHECK(config_->diurnalAmplitude >= 0.0
+             && config_->diurnalAmplitude < 1.0);
 }
 
 double

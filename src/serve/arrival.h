@@ -25,7 +25,7 @@ namespace autoscale::serve {
 struct ArrivalConfig {
     /** Base arrival rate, requests per second. Must be positive. */
     double ratePerSec = 20.0;
-    /** Burst episode period, ms (<= 0 disables bursts). */
+    /** Burst episode period, ms (0 disables bursts; never negative). */
     double burstPeriodMs = 2000.0;
     /** Burst episode length, ms (from each period start). */
     double burstDurationMs = 400.0;
@@ -53,7 +53,9 @@ struct ArrivalConfig {
  * Deterministic Poisson/burst arrival-time generator. It reads
  * @p config through a pointer rather than copying it: every fleet
  * device's process reads its plan's one ArrivalConfig (DESIGN.md §18),
- * which must outlive the process.
+ * which must outlive the process. The constructor AS_CHECKs that the
+ * rate stays positive at every time: ratePerSec > 0, burst period and
+ * length >= 0, burstMultiplier > 0 and diurnalAmplitude in [0, 1).
  */
 class ArrivalProcess {
   public:

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "util/logging.h"
+#include "util/period.h"
 
 namespace autoscale::serve {
 
@@ -45,9 +46,9 @@ SharedInfra::snapshotFor(double epochStartMs, double epochMs,
     // during one the edge server has no slots at all, so every unit of
     // observed edge concurrency is excess.
     if (config_.outagePeriodMs > 0.0 && config_.outageDurationMs > 0.0) {
-        const double phase =
-            std::fmod(epochStartMs, config_.outagePeriodMs);
-        snapshot.edgeOutage = phase < config_.outageDurationMs;
+        snapshot.edgeOutage =
+            periodPhase(epochStartMs, config_.outagePeriodMs)
+            < config_.outageDurationMs;
     }
     const double effectiveEdgeCapacity =
         snapshot.edgeOutage ? 0.0 : config_.edgeCapacity;
@@ -71,7 +72,7 @@ SharedInfra::snapshotFor(double epochStartMs, double epochMs,
         // (plus whatever backlog accumulated above), even when the
         // previous epoch saw no edge demand at all.
         const double remainMs = config_.outageDurationMs
-            - std::fmod(epochStartMs, config_.outagePeriodMs);
+            - periodPhase(epochStartMs, config_.outagePeriodMs);
         snapshot.edgeQueueMs += remainMs;
     }
 
@@ -90,9 +91,8 @@ SharedInfra::snapshotFor(double epochStartMs, double epochMs,
     // Shared cloud brownout windows are anchored in fleet virtual time,
     // so every device sees the same window in the same epoch.
     if (config_.brownoutPeriodMs > 0.0 && config_.brownoutDurationMs > 0.0) {
-        const double phase =
-            std::fmod(epochStartMs, config_.brownoutPeriodMs);
-        if (phase < config_.brownoutDurationMs) {
+        if (periodPhase(epochStartMs, config_.brownoutPeriodMs)
+            < config_.brownoutDurationMs) {
             snapshot.brownout = true;
             snapshot.cloudSlowdown = config_.brownoutSlowdown;
         }

@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <locale>
 #include <sstream>
 #include <vector>
@@ -278,6 +282,113 @@ TEST(QTable, CopyIsIndependentAndDense)
     EXPECT_EQ(base.at(1, 2), 0.0f);
     // memoryBytes stays the logical payload however rows are stored.
     EXPECT_EQ(peer.memoryBytes(), 4u * 3u * sizeof(float));
+}
+
+/** The reference firstMaxIndex must reproduce: keep a value only when
+ * it is strictly greater than the best so far. */
+int
+strictGreaterScan(const float *values, int count)
+{
+    int best = 0;
+    float bestValue = values[0];
+    for (int a = 1; a < count; ++a) {
+        if (values[a] > bestValue) {
+            bestValue = values[a];
+            best = a;
+        }
+    }
+    return best;
+}
+
+/** Rows of every width from 1 to 131 drawn by @p draw, each checked
+ * against the strict-`>` scan, and through a one-state QTable,
+ * maxValue against row[bestAction] with its sign. */
+template <typename Draw>
+void
+expectFirstMaxMatchesScan(std::uint64_t seed, int rowsPerWidth, Draw draw)
+{
+    Rng rng(seed);
+    for (int width = 1; width <= 131; ++width) {
+        QTable table(1, width);
+        float *row = table.mutableRow(0);
+        for (int r = 0; r < rowsPerWidth; ++r) {
+            for (int a = 0; a < width; ++a) {
+                row[a] = draw(rng);
+            }
+            const int expected = strictGreaterScan(row, width);
+            ASSERT_EQ(firstMaxIndex(row, width), expected)
+                << "width " << width << " row " << r;
+            ASSERT_EQ(table.bestAction(0), expected);
+            const double max = table.maxValue(0);
+            const float atBest = row[expected];
+            if (std::isnan(atBest)) {
+                ASSERT_TRUE(std::isnan(max));
+            } else {
+                ASSERT_EQ(std::bit_cast<std::uint64_t>(max),
+                          std::bit_cast<std::uint64_t>(
+                              static_cast<double>(atBest)))
+                    << "width " << width << " row " << r;
+            }
+        }
+    }
+}
+
+TEST(FirstMaxIndex, MatchesStrictScanOnRandomRows)
+{
+    expectFirstMaxMatchesScan(11, 200, [](Rng &rng) {
+        return static_cast<float>(rng.uniform(-15.0, 0.0));
+    });
+}
+
+TEST(FirstMaxIndex, MatchesStrictScanOnTies)
+{
+    // Four distinct values per row: the maximum repeats in most rows.
+    expectFirstMaxMatchesScan(12, 200, [](Rng &rng) {
+        return static_cast<float>(rng.uniformInt(4)) - 2.0f;
+    });
+}
+
+TEST(FirstMaxIndex, KeepsTheSignOfTheFirstZeroAtTheMaximum)
+{
+    // -0 and +0 compare equal, so the first of them is the maximum and
+    // maxValue must return its sign.
+    expectFirstMaxMatchesScan(13, 200, [](Rng &rng) {
+        const std::uint64_t pick = rng.uniformInt(3);
+        return pick == 0 ? -0.0f : pick == 1 ? 0.0f : -1.0f;
+    });
+    const float row[] = {-0.0f, 0.0f, -1.0f, 0.0f, -0.0f};
+    EXPECT_EQ(firstMaxIndex(row, 5), 0);
+    QTable table(1, 5);
+    std::copy(row, row + 5, table.mutableRow(0));
+    EXPECT_TRUE(std::signbit(table.maxValue(0)));
+}
+
+TEST(FirstMaxIndex, MatchesStrictScanOnAllEqualRows)
+{
+    expectFirstMaxMatchesScan(14, 4, [](Rng &) { return -3.5f; });
+    expectFirstMaxMatchesScan(15, 4, [](Rng &) { return 0.0f; });
+    expectFirstMaxMatchesScan(16, 4, [](Rng &) {
+        return -std::numeric_limits<float>::infinity();
+    });
+}
+
+TEST(FirstMaxIndex, MatchesStrictScanOnRowsWithInfinitiesAndNaNs)
+{
+    // A Q-table never holds a NaN (parse rejects one and updates stay
+    // finite), but the scan's answer is defined for them too: a NaN at
+    // index 0 wins, any other NaN is passed over.
+    expectFirstMaxMatchesScan(17, 100, [](Rng &rng) {
+        switch (rng.uniformInt(8)) {
+          case 0:
+            return std::numeric_limits<float>::quiet_NaN();
+          case 1:
+            return std::numeric_limits<float>::infinity();
+          case 2:
+            return -std::numeric_limits<float>::infinity();
+          default:
+            return static_cast<float>(rng.uniform(-1.0, 1.0));
+        }
+    });
 }
 
 TEST(QTable, DimensionsReported)

@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
+#include <vector>
 
 #include "core/scheduler.h"
 #include "core/transfer.h"
@@ -119,6 +121,99 @@ TEST(Scheduler, LastRewardTracksFeedback)
     EXPECT_NEAR(scheduler.lastReward(),
                 computeReward(outcome, request), 1e-9);
     scheduler.finishEpisode();
+}
+
+/** The scan firstMaxIndex replaces: keep a value only when it is
+ * strictly greater than the best so far. */
+int
+strictGreaterScan(const float *values, int count)
+{
+    int best = 0;
+    for (int a = 1; a < count; ++a) {
+        if (values[a] > values[best]) {
+            best = a;
+        }
+    }
+    return best;
+}
+
+/**
+ * choose() takes the greedy action from the index the update's
+ * bootstrap max found for S', unless the update wrote that same row.
+ * A plain agent that scans the row at every decision, fed the same
+ * states and rewards, must make every decision, exploration draw and
+ * Q-value the same and end with the same table, over a run that visits
+ * both the S == S' and the S != S' transitions many times.
+ */
+TEST(Scheduler, ChooseReusesTheBootstrapScanExactly)
+{
+    const sim::InferenceSimulator sim = mi8Sim();
+    const SchedulerConfig config;
+    constexpr std::uint64_t kSeed = 31;
+    AutoScaleScheduler scheduler(sim, config, kSeed);
+    const int numActions = static_cast<int>(scheduler.actions().size());
+    QLearningAgent reference(config.encoder.numStates(), numActions,
+                             config.rl, Rng(kSeed));
+
+    const std::vector<dnn::Network> nets = {
+        dnn::makeMobileNetV1(), dnn::makeResNet50(),
+        dnn::makeInceptionV1()};
+    Rng rng(32);
+    env::EnvState env;
+    std::size_t net = 0;
+    int sameRow = 0;
+    int otherRow = 0;
+    int prevState = -1;
+    int prevAction = 0;
+    double prevReward = 0.0;
+    for (int step = 0; step < 10000; ++step) {
+        // Half the steps repeat the previous request and environment,
+        // so S' == S there.
+        if (rng.uniform() < 0.5) {
+            net = static_cast<std::size_t>(rng.uniformInt(nets.size()));
+            env.coCpuUtil = rng.uniform();
+            env.coMemUtil = rng.uniform();
+            env.rssiWlanDbm = rng.uniform(-90.0, -40.0);
+            env.rssiP2pDbm = rng.uniform(-90.0, -40.0);
+        }
+        const sim::InferenceRequest request = sim::makeRequest(nets[net]);
+        const sim::ExecutionTarget &target = scheduler.choose(request, env);
+        const AutoScaleScheduler::DecisionInfo decision =
+            scheduler.lastDecision();
+        if (prevState >= 0) {
+            reference.update(prevState, prevAction, prevReward,
+                             decision.state);
+            ++(decision.state == prevState ? sameRow : otherRow);
+        }
+        const int action = reference.selectAction(decision.state);
+        ASSERT_EQ(decision.action, action) << "step " << step;
+        ASSERT_EQ(decision.explored, reference.lastActionExplored());
+        ASSERT_EQ(decision.qValue,
+                  static_cast<double>(
+                      reference.table().at(decision.state, action)));
+        if (!decision.explored) {
+            ASSERT_EQ(action,
+                      strictGreaterScan(
+                          reference.table().row(decision.state),
+                          numActions));
+        }
+        scheduler.feedback(sim.expected(nets[net], target, env));
+        prevState = decision.state;
+        prevAction = decision.action;
+        prevReward = scheduler.lastReward();
+    }
+    scheduler.finishEpisode();
+    reference.update(prevState, prevAction, prevReward, prevState);
+
+    EXPECT_GT(sameRow, 1000);
+    EXPECT_GT(otherRow, 1000);
+    const QTable &table = scheduler.agent().table();
+    for (int s = 0; s < table.numStates(); ++s) {
+        for (int a = 0; a < numActions; ++a) {
+            ASSERT_EQ(table.at(s, a), reference.table().at(s, a))
+                << "state " << s << " action " << a;
+        }
+    }
 }
 
 TEST(Scheduler, TransferSeedsTheDestinationTable)

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -212,6 +213,77 @@ TEST(Serve, ResumeWithoutACheckpointIsAColdStart)
     EXPECT_FALSE(stats.resumed);
     EXPECT_EQ(stats.resumeSource, CheckpointSource::None);
     EXPECT_GT(stats.checkpointsWritten, 0);
+}
+
+TEST(ArrivalConfig, BurstWindowsOpenAtEachPeriodStart)
+{
+    ArrivalConfig config;
+    config.burstPeriodMs = 1200.0;
+    config.burstDurationMs = 300.0;
+    config.burstMultiplier = 6.0;
+    for (const double start : {0.0, 1200.0, 12000.0, 1.2e9}) {
+        EXPECT_TRUE(config.inBurst(start)) << start;
+        EXPECT_TRUE(config.inBurst(start + 299.999)) << start;
+        EXPECT_FALSE(config.inBurst(start + 300.0)) << start;
+        EXPECT_FALSE(config.inBurst(start + 1199.999)) << start;
+    }
+    EXPECT_DOUBLE_EQ(config.ratePerMs(150.0),
+                     6.0 * config.ratePerMs(600.0));
+    config.burstPeriodMs = 0.0;
+    EXPECT_FALSE(config.inBurst(0.0));
+}
+
+TEST(ArrivalProcess, AcceptsEveryShapeWhoseRateStaysPositive)
+{
+    ArrivalConfig config;
+    config.burstPeriodMs = 0.0;
+    config.burstDurationMs = 0.0;
+    config.burstMultiplier = 0.5;
+    config.diurnalPeriodMs = 1000.0;
+    config.diurnalAmplitude = 0.999;
+    ArrivalProcess process(config, 1);
+    double last = 0.0;
+    for (int i = 0; i < 1000; ++i) {
+        const double now = process.nextArrivalMs();
+        ASSERT_GT(now, last);
+        last = now;
+    }
+}
+
+/**
+ * A shape whose rate can reach zero or turn negative would give
+ * nextArrivalMs() an infinite or negative gap, stopping or reversing
+ * the device clock; the constructor refuses it whoever built it.
+ */
+TEST(ArrivalProcessDeath, RejectsShapesWhoseRateCanStopOrTurnNegative)
+{
+    const auto build = [](void (*edit)(ArrivalConfig &)) {
+        ArrivalConfig config;
+        edit(config);
+        ArrivalProcess process(config, 1);
+        (void)process.nextArrivalMs();
+    };
+    EXPECT_DEATH(build([](ArrivalConfig &c) { c.ratePerSec = 0.0; }),
+                 "check failed");
+    EXPECT_DEATH(build([](ArrivalConfig &c) { c.diurnalAmplitude = 1.0; }),
+                 "check failed");
+    EXPECT_DEATH(build([](ArrivalConfig &c) { c.diurnalAmplitude = 1.5; }),
+                 "check failed");
+    EXPECT_DEATH(build([](ArrivalConfig &c) { c.diurnalAmplitude = -0.1; }),
+                 "check failed");
+    EXPECT_DEATH(build([](ArrivalConfig &c) {
+                     c.diurnalAmplitude =
+                         std::numeric_limits<double>::quiet_NaN();
+                 }),
+                 "check failed");
+    EXPECT_DEATH(build([](ArrivalConfig &c) { c.burstPeriodMs = -1.0; }),
+                 "check failed");
+    EXPECT_DEATH(build([](ArrivalConfig &c) { c.burstDurationMs = -1.0; }),
+                 "check failed");
+    EXPECT_DEATH(build([](ArrivalConfig &c) { c.burstMultiplier = 0.0; }),
+                 "check failed");
+    EXPECT_DEATH(build([](ArrivalConfig &c) { c.burstMultiplier = -2.0; }),
+                 "check failed");
 }
 
 TEST(AdmissionQueue, MaxDepthSeenTracksPushHighWater)
